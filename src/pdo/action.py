@@ -84,11 +84,8 @@ def act_series(q: PDSeries, g: GMatrix, order: int | None = None) -> PDSeries:
     if q.ring != QZ:
         raise ValueError("the homographic action is implemented over Q(z)")
     target = q.order if q.order is not None else order
-    acc = PDSeries.zero(QZ, target)
-    for n, f in sorted(q.coeffs.items()):
-        moved = mobius_compose(f, g)
-        acc = acc + act_y_power(n, g, target).scale_left(moved)
-    return acc
+    parts = (act_y_power(n, g, target).scale_left(mobius_compose(f, g)) for n, f in q.coeffs.items())
+    return PDSeries.sum(QZ, parts, target)
 
 
 PFunc = Callable[[GMatrix], RatFunc]

@@ -36,6 +36,8 @@ from .action import act_series, slash
 from .verify import SUITES, run_suite
 
 DEFAULT_SPEC = [["chi", 2, True], ["xi", 1, True]]
+# the parameters of the verification suites; all but the seed are sizes >= 0
+VERIFY_FLAGS = ("umax", "mmax", "smax", "pmax", "hmax", "kmax", "jmax", "imax", "cases", "order", "seed")
 
 
 def _load_value(arg: str, field: str):
@@ -70,16 +72,22 @@ def _emit_csv(rows, header) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _ring_from_args(args) -> GradedRing | type(QZ):
-    if getattr(args, "ring", "qz") == "graded":
-        spec_v = _load_value(args.spec, "--spec") if args.spec else DEFAULT_SPEC
-        return GradedRing(parse_spec(spec_v, "--spec"))
-    return QZ
-
-
-def _graded_ring(args) -> GradedRing:
+def _ring(args):
+    """Q(z) for ``--ring qz``; otherwise the graded ring of ``--spec``."""
+    if getattr(args, "ring", "graded") == "qz":
+        return QZ
     spec_v = _load_value(args.spec, "--spec") if args.spec else DEFAULT_SPEC
     return GradedRing(parse_spec(spec_v, "--spec"))
+
+
+def _nonneg_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,21 +105,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("mul", "product of two series (JSON PDSeries args)")
     sp.add_argument("p")
     sp.add_argument("q")
-    sp.add_argument("--order", type=int, default=None, help="truncate operands first")
+    sp.add_argument("--order", type=_nonneg_int, default=None, help="truncate operands first")
 
     sp = add("inv", "inverse of a series")
     sp.add_argument("q")
-    sp.add_argument("--order", type=int, default=None, help="result truncation order")
+    sp.add_argument("--order", type=_nonneg_int, default=None, help="result truncation order")
 
     sp = add("sqrt", "square root of a series with supplied leading root")
     sp.add_argument("q")
     sp.add_argument("--lead", required=True, help="coefficient e with e^2 = leading")
-    sp.add_argument("--order", type=int, default=None)
+    sp.add_argument("--order", type=_nonneg_int, default=None)
 
     sp = add("act", "apply a homography to a series over Q(z)")
     sp.add_argument("q")
     sp.add_argument("--matrix", required=True, help="[[a,b],[c,d]] with det 1")
-    sp.add_argument("--order", type=int, default=None)
+    sp.add_argument("--order", type=_nonneg_int, default=None)
 
     sp = add("slash", "weight-k slash action on a rational function")
     sp.add_argument("f")
@@ -121,24 +129,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("lift", "the weight-m lifting map applied to a coefficient")
     sp.add_argument("f")
     sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--order", type=int, default=None)
+    sp.add_argument("--order", type=_nonneg_int, default=None)
     sp.add_argument("--ring", choices=["qz", "graded"], default="qz")
     sp.add_argument("--spec", default=None, help="generators JSON for --ring graded")
 
     sp = add("psi-inv", "peel a series into its weighted family")
     sp.add_argument("q")
-    sp.add_argument("--order", type=int, default=None)
+    sp.add_argument("--order", type=_nonneg_int, default=None)
 
     sp = add("star", "star product of two homogeneous graded elements")
     sp.add_argument("f")
     sp.add_argument("g")
-    sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--order", type=_nonneg_int, required=True)
     sp.add_argument("--spec", default=None)
 
     sp = add("alpha-table", "universal star multipliers alpha_n(k, l)")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--nmax", type=int, required=True)
+    sp.add_argument("--nmax", type=_nonneg_int, required=True)
     sp.add_argument("--out", choices=["json", "csv"], default="json")
 
     sp = add("rc", "Rankin-Cohen bracket [f, g]_n at weights (k, l)")
@@ -146,28 +154,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("g")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_nonneg_int, required=True)
     sp.add_argument("--ring", choices=["qz", "graded"], default="qz")
     sp.add_argument("--spec", default=None)
 
     sp = add("g-table", "modular forms g_{k,2n} peeled from u^k")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--nmax", type=int, required=True)
+    sp.add_argument("--nmax", type=_nonneg_int, required=True)
     sp.add_argument("--spec", default=None)
     sp.add_argument("--out", choices=["json", "csv"], default="json")
 
     sp = add("rewrite-u", "expand an invariant series in powers of u = x*chi")
     sp.add_argument("q")
-    sp.add_argument("--order", type=int, default=None)
+    sp.add_argument("--order", type=_nonneg_int, default=None)
 
     sp = add("v-uniformizer", "the odd uniformizer sqrt(y^2 xi^2)")
-    sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--order", type=_nonneg_int, required=True)
     sp.add_argument("--spec", default=None)
 
     sp = add("verify", "run an exact verification suite")
     sp.add_argument("suite", choices=sorted(SUITES))
-    for flag in ("umax", "mmax", "smax", "pmax", "hmax", "kmax", "jmax", "imax", "cases", "order", "seed"):
-        sp.add_argument(f"--{flag}", type=int, default=None)
+    for flag in VERIFY_FLAGS:
+        sp.add_argument(f"--{flag}", type=int if flag == "seed" else _nonneg_int, default=None)
 
     return p
 
@@ -205,7 +213,7 @@ def _cmd_slash(args) -> None:
 
 
 def _cmd_lift(args) -> None:
-    ring = _ring_from_args(args)
+    ring = _ring(args)
     f = parse_coeff(_load_value(args.f, "f"), ring, "f")
     _emit(series_json(psi(args.weight, f, args.order, ring=ring)))
 
@@ -216,7 +224,7 @@ def _cmd_psi_inv(args) -> None:
 
 
 def _cmd_star(args) -> None:
-    ring = _graded_ring(args)
+    ring = _ring(args)
     f = parse_coeff(_load_value(args.f, "f"), ring, "f")
     g = parse_coeff(_load_value(args.g, "g"), ring, "g")
     _emit(family_json(star(f, g, args.order)))
@@ -234,14 +242,14 @@ def _cmd_alpha_table(args) -> None:
 
 
 def _cmd_rc(args) -> None:
-    ring = _ring_from_args(args)
+    ring = _ring(args)
     f = parse_coeff(_load_value(args.f, "f"), ring, "f")
     g = parse_coeff(_load_value(args.g, "g"), ring, "g")
     _emit(coeff_json(ring, rc_bracket(f, g, args.k, args.l, args.n)))
 
 
 def _cmd_g_table(args) -> None:
-    ring = _graded_ring(args)
+    ring = _ring(args)
     table = g_forms(args.k, args.nmax, ring)
     if args.out == "csv":
         _emit_csv(
@@ -263,14 +271,14 @@ def _cmd_rewrite_u(args) -> None:
 
 
 def _cmd_v_uniformizer(args) -> None:
-    ring = _graded_ring(args)
+    ring = _ring(args)
     _emit(series_json(v_uniformizer(args.order, ring)))
 
 
 def _cmd_verify(args) -> None:
     params = {
         key: getattr(args, key)
-        for key in ("umax", "mmax", "smax", "pmax", "hmax", "kmax", "jmax", "imax", "cases", "order", "seed")
+        for key in VERIFY_FLAGS
         if getattr(args, key) is not None
     }
     rep = run_suite(args.suite, **params)

@@ -93,6 +93,14 @@ def _normalize(mono: Iterable[tuple[int, int, int]]) -> Mono:
     )
 
 
+def _coerce(spec: GradedRingSpec, x: "GradedElem | Scalar") -> "GradedElem":
+    if isinstance(x, GradedElem):
+        if x.spec is not spec and x.spec != spec:
+            raise ValueError("elements of different graded rings")
+        return x
+    return spec.scalar(x)
+
+
 class GradedElem:
     """Finite Q-linear combination of monomials in generators and derivatives."""
 
@@ -109,6 +117,24 @@ class GradedElem:
             clean[mono] = clean.get(mono, Fraction(0)) + c
         self.spec = spec
         self.terms = {m: c for m, c in clean.items() if c != 0}
+
+    @classmethod
+    def _raw(cls, spec: GradedRingSpec, terms: dict[Mono, Fraction]) -> "GradedElem":
+        """Trusted constructor: `terms` is already canonical (normalised,
+        valid monomials, nonzero Fraction coefficients)."""
+        obj = object.__new__(cls)
+        obj.spec, obj.terms = spec, terms
+        return obj
+
+    @classmethod
+    def sum(cls, spec: GradedRingSpec, terms: Iterable["GradedElem | Scalar"]) -> "GradedElem":
+        """The sum of `terms` in the ring `spec`: the term maps are merged and
+        zeros dropped once, with no re-validation of canonical monomials."""
+        out: dict[Mono, Fraction] = {}
+        for t in terms:
+            for m, c in _coerce(spec, t).terms.items():
+                out[m] = out.get(m, 0) + c
+        return cls._raw(spec, {m: c for m, c in out.items() if c})
 
     # -- predicates --
 
@@ -128,33 +154,22 @@ class GradedElem:
 
     # -- arithmetic --
 
-    def _coerce(self, other: "GradedElem | Scalar") -> "GradedElem":
-        if isinstance(other, GradedElem):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise ValueError("elements of different graded rings")
-            return other
-        return self.spec.scalar(other)
-
     def __add__(self, other: "GradedElem | Scalar") -> "GradedElem":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return GradedElem(self.spec, out)
+        return GradedElem.sum(self.spec, (self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedElem":
-        return GradedElem(self.spec, {m: -c for m, c in self.terms.items()})
+        return GradedElem._raw(self.spec, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "GradedElem | Scalar") -> "GradedElem":
-        return self + (-self._coerce(other))
+        return self + (-_coerce(self.spec, other))
 
     def __rsub__(self, other: Scalar) -> "GradedElem":
-        return self._coerce(other) - self
+        return _coerce(self.spec, other) - self
 
     def __mul__(self, other: "GradedElem | Scalar") -> "GradedElem":
-        other = self._coerce(other)
+        other = _coerce(self.spec, other)
         out: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -184,6 +199,9 @@ class GradedElem:
         return self.spec == other.spec and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # scalars compare equal to their Fraction value, so they hash alike
+        if self.is_scalar():
+            return hash(self.scalar_value())
         return hash((self.spec, tuple(sorted(self.terms.items()))))
 
     def inv_unit(self) -> "GradedElem":

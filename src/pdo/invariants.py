@@ -69,18 +69,20 @@ def u_power(k: int, order: int, ring: GradedRing) -> PDSeries:
         while len(derivs) <= n:
             derivs.append(derivs[-1].deriv())
         coef = Fraction((-1) ** n * factorial(k + n), factorial(k))
-        total = ring.zero()
-        for s in compositions(n, k):
-            term = ring.one()
-            for sj in s:
-                term = term * derivs[sj]
-            scale = Fraction(1)
-            for sj in s:
-                scale /= factorial(sj + 1)
-            total = total + scale * term
-        out[2 * (k + n)] = coef * total
+        out[2 * (k + n)] = coef * ring.sum(
+            _scaled_product(Fraction(1), s, derivs, ring) for s in compositions(n, k)
+        )
         n += 1
     return PDSeries(ring, out, order)
+
+
+def _scaled_product(scale: Fraction, t: Sequence[int], derivs: list, ring: GradedRing):
+    """scale * prod_j chi^(t_j)/(t_j+1)!, with derivs[j] = chi^(j)."""
+    term = ring.one()
+    for tj in t:
+        term = term * derivs[tj]
+        scale /= factorial(tj + 1)
+    return scale * term
 
 
 def g_forms(k: int, n_max: int, ring: GradedRing) -> dict[int, GradedElem]:
@@ -106,17 +108,11 @@ def g_closed(k: int, i: int, ring: GradedRing) -> GradedElem:
     derivs = [chi]
     while len(derivs) <= i:
         derivs.append(derivs[-1].deriv())
-    total = ring.zero()
-    for t in compositions(i, k):
-        gamma = gamma_tuple(k, i, t, "A2")
-        if gamma == 0:
-            continue
-        term = ring.one()
-        scale = gamma
-        for tj in t:
-            term = term * derivs[tj]
-            scale /= factorial(tj + 1)
-        total = total + scale * term
+    total = ring.sum(
+        _scaled_product(gamma, t, derivs, ring)
+        for t in compositions(i, k)
+        if (gamma := gamma_tuple(k, i, t, "A2")) != 0
+    )
     pref = Fraction(
         (-1) ** i * factorial(k + i) * factorial(k + i - 1),
         factorial(2 * k + 2 * i - 2) * factorial(k),
@@ -144,21 +140,20 @@ def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRing) -> Wei
     if a and not ring.is_zero(a[0]):
         comps[0] = a[0]
     for m in range(1, m_max + 1):
-        acc = ring.zero()
-        for k, gtab in gtabs.items():
-            if k > m:
-                continue
-            for n in range(max(k, 1), m + 1):
-                g = gtab.get(2 * n, ring.zero())
-                if ring.is_zero(g):
-                    continue
-                coef = (
-                    Fraction((-1) ** n)
-                    * Fraction(factorial(2 * n - 1) * factorial(m - n))
-                    / Fraction(factorial(n - 1) * (m + n - 1))
-                    * gbinom(m, m - n)
-                )
-                acc = acc + coef * rc_bracket(a[k], g, 0, 2 * n, m - n)
+        gs = (
+            (k, n, gtab.get(2 * n, ring.zero()))
+            for k, gtab in gtabs.items()
+            for n in range(max(k, 1), m + 1)
+        )
+        acc = ring.sum(
+            Fraction((-1) ** n)
+            * Fraction(factorial(2 * n - 1) * factorial(m - n))
+            / Fraction(factorial(n - 1) * (m + n - 1))
+            * gbinom(m, m - n)
+            * rc_bracket(a[k], g, 0, 2 * n, m - n)
+            for k, n, g in gs
+            if not ring.is_zero(g)
+        )
         pref = Fraction((-1) ** m * factorial(m - 1), factorial(2 * m - 2))
         comps[2 * m] = pref * acc
     return WeightedFamily(ring, comps)

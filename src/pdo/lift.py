@@ -26,7 +26,7 @@ from .errors import (
     ValuationTooLow,
 )
 from .ratfunc import GMatrix, RatFunc
-from .rings import GradedRing, QZ
+from .rings import ring_of
 from .series import EXACT, PDSeries, series_inverse, series_mul
 from .action import act_series, slash
 
@@ -84,14 +84,6 @@ class WeightedFamily:
         return f"WeightedFamily({{{inner}}})"
 
 
-def _ring_of(f, ring=None):
-    if ring is not None:
-        return ring
-    if isinstance(f, RatFunc):
-        return QZ
-    return GradedRing(f.spec)
-
-
 def psi(m: int, f, order: int | None = None, ring=None) -> PDSeries:
     """The weight-m lifting map: sum_n alpha_m(n) f^{(n)} y^{m+2n}.
 
@@ -101,7 +93,7 @@ def psi(m: int, f, order: int | None = None, ring=None) -> PDSeries:
     """
     if m < 0 and m % 2 != 0:
         raise NegativeOddWeight(f"no lifting map at weight {m}")
-    ring = _ring_of(f, ring)
+    ring = ring_of(f, ring)
     f = ring.coerce(f)
     if ring.is_graded and not ring.is_zero(f) and not f.is_homogeneous(m):
         raise NotHomogeneous(f"lifting a weight-{m} coefficient needs weight-{m} input")
@@ -124,7 +116,7 @@ def psi(m: int, f, order: int | None = None, ring=None) -> PDSeries:
         if a != 0:
             out[exp] = a * deriv
         n += 1
-        deriv = ring.deriv(deriv)
+        deriv = deriv.deriv()
     return PDSeries(ring, out, EXACT if exact else order)
 
 
@@ -136,7 +128,7 @@ def psi_neg_via_xi(k: int, f, xi, order: int, ring=None) -> PDSeries:
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    ring = _ring_of(f, ring)
+    ring = ring_of(f, ring)
     xi = ring.coerce(xi)
     if not ring.is_unit(xi):
         raise NotAUnit("xi must be an invertible unit")
@@ -185,12 +177,8 @@ def psi_assemble(F: WeightedFamily, order: int | None = None) -> PDSeries:
     needs_order = any(m > 0 for m in F.components)
     if needs_order and order is None:
         raise OrderUnresolvable("assembling positive weights needs an order")
-    acc = PDSeries.zero(F.ring, order)
-    for m, f in F.items():
-        if order is not None and m >= order:
-            continue
-        acc = acc + psi(m, f, order, ring=F.ring)
-    return acc
+    parts = (psi(m, f, order, ring=F.ring) for m, f in F.items() if order is None or m < order)
+    return PDSeries.sum(F.ring, parts, order)
 
 
 # -- explicit even/odd coefficient conversions --
@@ -231,6 +219,16 @@ def _odd_bwd_coeff(n: int, r: int) -> Fraction:
     return acc
 
 
+# direction: (coefficient, (a, b) with input index a*s + b,
+#             (c, d) with output index c*n + d, least n)
+_CLOSED = {
+    "even_fwd": (_even_fwd_coeff, (2, 0), (1, 0), 1),
+    "even_bwd": (_even_bwd_coeff, (1, 0), (2, 0), 1),
+    "odd_fwd": (_odd_fwd_coeff, (2, 1), (2, 1), 0),
+    "odd_bwd": (_odd_bwd_coeff, (2, 1), (2, 1), 0),
+}
+
+
 def closed_pairs(direction: str, family: WeightedFamily) -> WeightedFamily:
     """Convert between a weighted family and operator coefficients in closed form.
 
@@ -238,66 +236,28 @@ def closed_pairs(direction: str, family: WeightedFamily) -> WeightedFamily:
     even_bwd : {m: h_m, m>=1}        -> {2n: f_2n}
     odd_fwd  : {2n+1: f_{2n+1}}      -> {2m+1: h_{2m+1}} (y-exponent coefficients)
     odd_bwd  : {2m+1: h_{2m+1}}      -> {2n+1: f_{2n+1}}
+
+    Output n is sum_{lo <= s <= n} coeff(n, n - s) * (input s)^{(n - s)}.
     """
+    if direction not in _CLOSED:
+        raise ValueError(f"unknown direction {direction!r}")
     ring = family.ring
-    keys = sorted(family.components)
+    keys = family.components
+    if direction == "even_fwd" and any(m % 2 != 0 or m <= 0 for m in keys):
+        raise ParityMismatch("even_fwd expects positive even weights")
+    if direction == "even_bwd" and any(m <= 0 for m in keys):
+        raise ParityMismatch("even_bwd expects positive operator exponents")
+    if direction.startswith("odd") and any(m % 2 == 0 or m < 1 for m in keys):
+        raise ParityMismatch(f"{direction} expects positive odd indices")
+    coeff, (a, b), (c, d), lo = _CLOSED[direction]
+    top = max(((m - b) // a for m in keys), default=lo - 1)
     out: dict[int, object] = {}
-    if direction in ("even_fwd", "even_bwd"):
-        if any(m % 2 != 0 or m <= 0 for m in keys) and direction == "even_fwd":
-            raise ParityMismatch("even_fwd expects positive even weights")
-        if direction == "even_bwd" and any(m <= 0 for m in keys):
-            raise ParityMismatch("even_bwd expects positive operator exponents")
-        if direction == "even_fwd":
-            top = max((m // 2 for m in keys), default=0)
-            for m in range(1, top + 1):
-                acc = ring.zero()
-                for r in range(m):
-                    f = family.component(2 * m - 2 * r)
-                    if ring.is_zero(f):
-                        continue
-                    acc = acc + _even_fwd_coeff(m, r) * _deriv_n(ring, f, r)
-                out[m] = acc
-        else:
-            top = max(keys, default=0)
-            for n in range(1, top + 1):
-                acc = ring.zero()
-                for r in range(n):
-                    h = family.component(n - r)
-                    if ring.is_zero(h):
-                        continue
-                    acc = acc + _even_bwd_coeff(n, r) * _deriv_n(ring, h, r)
-                out[2 * n] = acc
-        return WeightedFamily(ring, out)
-    if direction in ("odd_fwd", "odd_bwd"):
-        if any(m % 2 == 0 or m < 1 for m in keys):
-            raise ParityMismatch(f"{direction} expects positive odd indices")
-        top = max(((m - 1) // 2 for m in keys), default=-1)
-        if direction == "odd_fwd":
-            for m in range(top + 1):
-                acc = ring.zero()
-                for r in range(m + 1):
-                    f = family.component(2 * m - 2 * r + 1)
-                    if ring.is_zero(f):
-                        continue
-                    acc = acc + _odd_fwd_coeff(m, r) * _deriv_n(ring, f, r)
-                out[2 * m + 1] = acc
-        else:
-            for n in range(top + 1):
-                acc = ring.zero()
-                for r in range(n + 1):
-                    h = family.component(2 * n - 2 * r + 1)
-                    if ring.is_zero(h):
-                        continue
-                    acc = acc + _odd_bwd_coeff(n, r) * _deriv_n(ring, h, r)
-                out[2 * n + 1] = acc
-        return WeightedFamily(ring, out)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def _deriv_n(ring, f, n: int):
-    for _ in range(n):
-        f = ring.deriv(f)
-    return f
+    for n in range(lo, top + 1):
+        parts = ((n - s, family.component(a * s + b)) for s in range(lo, n + 1))
+        out[c * n + d] = ring.sum(
+            coeff(n, r) * f.deriv_n(r) for r, f in parts if not ring.is_zero(f)
+        )
+    return WeightedFamily(ring, out)
 
 
 def equivariance_residual(

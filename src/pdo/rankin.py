@@ -18,7 +18,7 @@ from .coeffs import gbinom
 from .errors import BracketMismatch, EdgeCaseWeightZero, NotHomogeneous
 from .graded import GradedElem, GradedRingSpec, Generator
 from .lift import WeightedFamily, psi, psi_assemble, psi_inverse
-from .rings import GradedRing
+from .rings import GradedRing, ring_of
 from .series import series_mul
 
 __all__ = [
@@ -39,19 +39,21 @@ def rc_bracket(f, g, k: int, l: int, n: int):
     Works over either coefficient domain; for homogeneous graded inputs the
     result is homogeneous of weight k + l + 2n.
     """
-    acc = None
-    fj = f
+    if n < 0:
+        raise ValueError(f"bracket index must be >= 0, got {n}")
     derivs_f = [f]
     for _ in range(n):
         derivs_f.append(derivs_f[-1].deriv())
     derivs_g = [g]
     for _ in range(n):
         derivs_g.append(derivs_g[-1].deriv())
-    for j in range(n + 1):
-        c = (-1) ** j * gbinom(k + n - 1, n - j) * gbinom(l + n - 1, j)
-        term = c * (derivs_f[j] * derivs_g[n - j])
-        acc = term if acc is None else acc + term
-    return acc
+    return ring_of(f).sum(
+        (-1) ** j
+        * gbinom(k + n - 1, n - j)
+        * gbinom(l + n - 1, j)
+        * (derivs_f[j] * derivs_g[n - j])
+        for j in range(n + 1)
+    )
 
 
 def star(f: GradedElem, g: GradedElem, order: int) -> WeightedFamily:

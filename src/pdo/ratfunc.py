@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _intgcd
 from math import lcm as _intlcm
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import DivisionByZero
 
@@ -236,22 +236,32 @@ class RatFunc:
 
     # -- arithmetic --
 
+    @classmethod
+    def sum(cls, terms: Iterable["RatFunc | Scalar"]) -> "RatFunc":
+        """The sum of `terms`, canonicalised once: the numerators are put over
+        the lcm of the stored denominators, which takes gcds of denominators
+        only, and the result is reduced a single time."""
+        L, num, den = 1, (), (1,)  # the running sum is num / (L * den)
+        last, count = None, 0
+        for t in map(_coerce, terms):
+            if t.sc == 0:
+                continue
+            last, count = t, count + 1
+            g = den if den in ((1,), t.denp) else _igcd(den, t.denp)
+            lift, cof = _iexact_div(t.denp, g), _iexact_div(den, g)
+            den = _imul(den, lift)
+            L2 = _intlcm(L, t.sc.denominator)
+            num = _iadd(
+                _iscale(L2 // L, _imul(num, lift)),
+                _iscale(t.sc.numerator * (L2 // t.sc.denominator), _imul(t.nump, cof)),
+            )
+            L = L2
+        if count <= 1:  # zero or one term: already canonical
+            return cls.const(0) if last is None else last
+        return cls._from_int(Fraction(1, L), num, den)
+
     def __add__(self, other: "RatFunc | Scalar") -> "RatFunc":
-        other = _coerce(other)
-        if self.sc == 0:
-            return other
-        if other.sc == 0:
-            return self
-        a, b = self.sc, other.sc
-        p = _iadd(
-            _iscale(a.numerator * b.denominator, _imul(self.nump, other.denp)),
-            _iscale(b.numerator * a.denominator, _imul(other.nump, self.denp)),
-        )
-        return RatFunc._from_int(
-            Fraction(1, a.denominator * b.denominator),
-            p,
-            _imul(self.denp, other.denp),
-        )
+        return RatFunc.sum((self, other))
 
     __radd__ = __add__
 
@@ -317,6 +327,9 @@ class RatFunc:
         )
 
     def __hash__(self) -> int:
+        # constants compare equal to their Fraction value, so they hash alike
+        if self.is_const():
+            return hash(self.const_value())
         return hash((self.sc, self.nump, self.denp))
 
     def deriv(self) -> "RatFunc":
@@ -399,11 +412,6 @@ class GMatrix:
     @classmethod
     def identity(cls) -> "GMatrix":
         return cls(1, 0, 0, 1)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "GMatrix":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d)
 
     def __matmul__(self, other: "GMatrix") -> "GMatrix":
         return GMatrix(

@@ -1,20 +1,21 @@
 """Coefficient-ring handles used by the series engine.
 
-A handle bundles a coefficient domain with the distinguished derivations of
-the operator rings: the plain derivative ``deriv`` (d/dz on Q(z), the formal
-derivative on a graded ring), the series derivation ``d = -deriv`` and its
-half ``delta = d/2`` driving the quadratic commutation law.
+A handle bundles a coefficient domain with the derivation of the operator
+rings, ``delta = -deriv/2`` (deriv is d/dz on Q(z), the formal derivative on
+a graded ring), which drives the quadratic commutation law, and with ``sum``,
+the one summation every accumulation goes through.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import NotAUnit, RingMismatch
 from .graded import GradedElem, GradedRingSpec
 from .ratfunc import RatFunc
 
-__all__ = ["QzRing", "GradedRing", "QZ"]
+__all__ = ["QzRing", "GradedRing", "QZ", "ring_of"]
 
 
 class QzRing:
@@ -33,8 +34,8 @@ class QzRing:
             return x
         return RatFunc.const(Fraction(x))
 
-    def is_element(self, x) -> bool:
-        return isinstance(x, RatFunc)
+    def sum(self, terms: Iterable[RatFunc]) -> RatFunc:
+        return RatFunc.sum(terms)
 
     def is_zero(self, f: RatFunc) -> bool:
         return f.is_zero()
@@ -44,12 +45,6 @@ class QzRing:
 
     def inv(self, f: RatFunc) -> RatFunc:
         return f.inverse()
-
-    def deriv(self, f: RatFunc) -> RatFunc:
-        return f.deriv()
-
-    def d(self, f: RatFunc) -> RatFunc:
-        return -f.deriv()
 
     def delta(self, f: RatFunc) -> RatFunc:
         return f.deriv() * Fraction(-1, 2)
@@ -96,8 +91,8 @@ class GradedRing:
             return x
         return self.spec.scalar(Fraction(x))
 
-    def is_element(self, x) -> bool:
-        return isinstance(x, GradedElem) and x.spec == self.spec
+    def sum(self, terms: Iterable[GradedElem]) -> GradedElem:
+        return GradedElem.sum(self.spec, terms)
 
     def is_zero(self, f: GradedElem) -> bool:
         return f.is_zero()
@@ -113,12 +108,6 @@ class GradedRing:
 
     def inv(self, f: GradedElem) -> GradedElem:
         return f.inv_unit()
-
-    def deriv(self, f: GradedElem) -> GradedElem:
-        return f.deriv()
-
-    def d(self, f: GradedElem) -> GradedElem:
-        return -f.deriv()
 
     def delta(self, f: GradedElem) -> GradedElem:
         return f.deriv() * Fraction(-1, 2)
@@ -138,3 +127,12 @@ class GradedRing:
 
     def __repr__(self) -> str:
         return f"GradedRing({self.spec!r})"
+
+
+def ring_of(f, ring=None):
+    """`ring` when given, else the handle of the domain `f` belongs to."""
+    if ring is not None:
+        return ring
+    if isinstance(f, RatFunc):
+        return QZ
+    return GradedRing(f.spec)

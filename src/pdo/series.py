@@ -10,12 +10,20 @@ omitted coefficient is identically zero.  All other series carry a finite
 truncation order N and represent their class modulo O(y^N).  Products of
 EXACT operands stay EXACT only when every invoked commutation series
 terminates; otherwise the engine refuses and asks for a truncation order.
+
+Every accumulation of coefficients (products, series sums, the action, the
+lifts and the invariant expansions built on them) goes through the ring's
+``sum``, which canonicalises once per result: a Q(z) sum is reduced over the
+lcm of its denominators instead of after every addition, and a graded sum
+merges term maps without re-validating canonical monomials.  Series values
+are immutable: ``coeffs`` is a read-only mapping.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .coeffs import comm_coeff_c
 from .errors import (
@@ -53,7 +61,7 @@ class PDSeries:
                 continue
             clean[n] = c
         self.ring = ring
-        self.coeffs = clean
+        self.coeffs = MappingProxyType(clean)
         self.order = order
 
     # -- constructors --
@@ -61,6 +69,20 @@ class PDSeries:
     @classmethod
     def monomial(cls, ring, coeff, exp: int, order: int | None = EXACT) -> "PDSeries":
         return cls(ring, {exp: coeff}, order)
+
+    @classmethod
+    def sum(cls, ring, parts: Iterable["PDSeries"], order: int | None = EXACT) -> "PDSeries":
+        """The sum of series over `ring`, truncated at the least of `order` and
+        the parts' orders; one ``ring.sum`` per exponent."""
+        by_exp: dict[int, list] = {}
+        for part in parts:
+            if part.ring != ring:
+                raise RingMismatch("series over different coefficient rings")
+            order = _min_order(order, part.order)
+            for n, c in part.coeffs.items():
+                by_exp.setdefault(n, []).append(c)
+        out = {n: ring.sum(cs) for n, cs in by_exp.items() if order is None or n < order}
+        return cls(ring, out, order)
 
     @classmethod
     def one(cls, ring) -> "PDSeries":
@@ -108,13 +130,7 @@ class PDSeries:
             raise RingMismatch("series over different coefficient rings")
 
     def __add__(self, other: "PDSeries") -> "PDSeries":
-        self._check_ring(other)
-        order = _min_order(self.order, other.order)
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            cur = out.get(n)
-            out[n] = c if cur is None else cur + c
-        return PDSeries(self.ring, out, order)
+        return PDSeries.sum(self.ring, (self, other))
 
     def __neg__(self) -> "PDSeries":
         return PDSeries(self.ring, {n: -c for n, c in self.coeffs.items()}, self.order)
@@ -194,7 +210,8 @@ def series_mul(p: PDSeries, q: PDSeries) -> PDSeries:
             chain.append(ring.delta(chain[-1]))
         return chain[u]
 
-    out: dict[int, object] = {}
+    # the terms f * c * delta^u(g) of each exponent, formed only inside its sum
+    terms: dict[int, list] = {}
     for i, f in p.coeffs.items():
         for j, g in q.coeffs.items():
             if exact:
@@ -221,11 +238,9 @@ def series_mul(p: PDSeries, q: PDSeries) -> PDSeries:
                 if ring.is_zero(moved):
                     break
                 if c != 0:
-                    n = i + j + 2 * u
-                    term = f * c * moved
-                    cur = out.get(n)
-                    out[n] = term if cur is None else cur + term
+                    terms.setdefault(i + j + 2 * u, []).append((f, c, moved))
                 u += 1
+    out = {n: ring.sum(f * c * moved for f, c, moved in ts) for n, ts in terms.items()}
     return PDSeries(ring, out, EXACT if exact else int(target))
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable
 
-from .coeffs import gbinom, lift_coeff, rho
+from .coeffs import gbinom, lift_coeff, recip_factorial, rho
 from .ratfunc import GMatrix, RatFunc, mobius_compose
 from .rings import QZ
 from .series import PDSeries, series_mul
@@ -41,13 +41,6 @@ class SuiteReport:
 
 def _fail(name: str, ranges: str, checked: int, ce: str) -> SuiteReport:
     return SuiteReport(name, False, ranges, checked, ce)
-
-
-def _rfact(n: int) -> Fraction:
-    """1/n! with 1/(negative)! = 0, the boundary convention of the certificates."""
-    if n < 0:
-        return Fraction(0)
-    return Fraction(1, factorial(n))
 
 
 def suite_rho(umax: int = 40) -> SuiteReport:
@@ -91,10 +84,10 @@ def suite_wz1(pmax: int = 12) -> SuiteReport:
     """(4u+6)G(u,m,i) - (u+1-m)G(u+1,m,i) = H(u,m,i+1) - H(u,m,i)."""
 
     def G(u: int, m: int, i: int) -> Fraction:
-        return 4**i * factorial(i - 1) * factorial(2 * u - 2 * i + 1) * _rfact(i - m) * _rfact(u - i) ** 2
+        return 4**i * factorial(i - 1) * factorial(2 * u - 2 * i + 1) * recip_factorial(i - m) * recip_factorial(u - i) ** 2
 
     def H(u: int, m: int, i: int) -> Fraction:
-        return 4**i * factorial(i - 1) * factorial(2 * u + 3 - 2 * i) * _rfact(i - m - 1) * _rfact(u + 1 - i) ** 2
+        return 4**i * factorial(i - 1) * factorial(2 * u + 3 - 2 * i) * recip_factorial(i - m - 1) * recip_factorial(u + 1 - i) ** 2
 
     checked = 0
     for u in range(1, pmax + 1):
@@ -118,16 +111,16 @@ def suite_wz2(pmax: int = 12) -> SuiteReport:
                 factorial(2 * m - 2) * factorial(2 * m - 1) * factorial(m) * factorial(2 * u - 2 * m),
                 factorial(2 * m + 1) * factorial(m - 1) ** 3,
             )
-            * _rfact(u - m) ** 2
+            * recip_factorial(u - m) ** 2
         )
 
     def J(u: int, m: int) -> Fraction:
         return (
             Fraction(factorial(2 * u - 2 * m + 2) * factorial(2 * u + 1), 16**u * u * factorial(u) * factorial(u + 1))
             * factorial(2 * m - 2)
-            * _rfact(m - 1)
-            * _rfact(m - 2)
-            * _rfact(u + 1 - m) ** 2
+            * recip_factorial(m - 1)
+            * recip_factorial(m - 2)
+            * recip_factorial(u + 1 - m) ** 2
         )
 
     checked = 0
@@ -150,10 +143,10 @@ def suite_wz3(pmax: int = 12) -> SuiteReport:
             for r in range(0, s + 1):
 
                 def b(s_: int, j: int) -> Fraction:
-                    return factorial(k + s_ - r - j) * factorial(r + j) * _rfact(s_ - r - j) * _rfact(j)
+                    return factorial(k + s_ - r - j) * factorial(r + j) * recip_factorial(s_ - r - j) * recip_factorial(j)
 
                 def G(s_: int, j: int) -> Fraction:
-                    return factorial(k + s_ - r - j + 1) * factorial(r + j) * _rfact(j - 1) * _rfact(s_ - r - j + 1)
+                    return factorial(k + s_ - r - j + 1) * factorial(r + j) * recip_factorial(j - 1) * recip_factorial(s_ - r - j + 1)
 
                 beta_s = Fraction(0)
                 beta_s1 = Fraction(0)
@@ -188,7 +181,7 @@ def suite_wz4(pmax: int = 12) -> SuiteReport:
                 return (
                     Fraction(factorial(2 * r_ + 1) * factorial(2 * r_), 16**r_ * factorial(r_) ** 3)
                     * factorial(k + s_ - r_ - 1)
-                    * _rfact(s_ - r_)
+                    * recip_factorial(s_ - r_)
                     / factorial(k + r_ + 1)
                 )
 
@@ -198,8 +191,8 @@ def suite_wz4(pmax: int = 12) -> SuiteReport:
                 return (
                     Fraction(4 * factorial(2 * r_ + 1) * factorial(2 * r_), 16**r_ * factorial(r_) ** 2)
                     * factorial(k + s_ - r_)
-                    * _rfact(s_ - r_ + 1)
-                    * _rfact(r_ - 1)
+                    * recip_factorial(s_ - r_ + 1)
+                    * recip_factorial(r_ - 1)
                     / factorial(k + r_)
                 )
 
@@ -423,8 +416,12 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
 
 
 def run_suite(name: str, **params) -> SuiteReport:
-    """Run one named suite; unknown names raise ValueError."""
+    """Run one named suite; unknown names raise ValueError.  A run that
+    checked nothing fails."""
     key = name.upper()
     if key not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    return SUITES[key](**params)
+    rep = SUITES[key](**params)
+    if rep.ok and rep.checked == 0:
+        return _fail(rep.name, rep.ranges, 0, "the range is empty: nothing was checked")
+    return rep

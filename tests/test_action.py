@@ -27,6 +27,14 @@ U = GMatrix(1, 0, 1, 1)
 W = GMatrix(2, 1, 3, 2)
 
 
+def test_act_y_power_result_is_read_only():
+    # results are cached, so a caller must not be able to change them
+    got = act_y_power(1, GMatrix(1, 1, 1, 2), 5)
+    with pytest.raises(TypeError):
+        got.coeffs[1] = RatFunc.const(7)
+    assert act_y_power(1, GMatrix(1, 1, 1, 2), 5).coeff(1) == 1 / (z + 2)
+
+
 def test_slash_examples():
     assert slash(z, 0, T) == z + 1
     assert slash(z, 2, S) == -1 / z**3

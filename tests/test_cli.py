@@ -173,3 +173,26 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])
     assert ei.value.code == 2
+
+
+def test_rc_rejects_negative_index(capsys):
+    one = json.dumps(ratfunc_json(RatFunc.const(1)))
+    with pytest.raises(SystemExit) as ei:
+        main(["rc", one, one, "--k", "1", "--l", "1", "--n", "-1"])
+    assert ei.value.code == 2 and "--n" in capsys.readouterr().err
+
+
+def test_alpha_table_rejects_negative_nmax(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["alpha-table", "--k", "1", "--l", "1", "--nmax", "-1"])
+    assert ei.value.code == 2 and "--nmax" in capsys.readouterr().err
+
+
+def test_verify_refuses_empty_range(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "RHO", "--umax", "-5"])
+    assert ei.value.code == 2 and "--umax" in capsys.readouterr().err
+    # a range that checks nothing is not a pass
+    code, out, err = run(capsys, "verify", "RHO", "--umax", "0")
+    rep = json.loads(out)
+    assert code == 1 and rep["ok"] is False and rep["checked"] == 0 and "nothing" in err

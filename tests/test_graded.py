@@ -70,6 +70,9 @@ def test_scalar_arithmetic():
     e = 2 * chi - chi - chi
     assert e.is_zero()
     assert (spec.scalar(F(1, 2)) * spec.scalar(4)).scalar_value() == 2
+    # equal values hash alike, so scalars and their Fraction find each other
+    assert 3 in {spec.scalar(3): 1} and F(1, 2) in {spec.scalar(F(1, 2))}
+    assert spec.zero() in {0}
 
 
 def test_coefficient_lookup():

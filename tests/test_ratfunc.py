@@ -123,3 +123,6 @@ def test_hash_and_eq_structural():
     assert hash(RatFunc((1, 2), (2, 1))) == hash(RatFunc((F(1, 2), 1), (1, F(1, 2))))
     assert RatFunc((1,)) == 1
     assert RatFunc((1, 1)) != 1
+    # equal values hash alike, so constants and their Fraction find each other
+    assert 3 in {RatFunc.const(3): 1} and F(1, 2) in {RatFunc.const(F(1, 2))}
+    assert RatFunc.const(0) in {0}
