@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .errors import NotAUnit, NotHomogeneous, ZeroElement
@@ -101,8 +102,17 @@ def _coerce(spec: GradedRingSpec, x: "GradedElem | Scalar") -> "GradedElem":
     return spec.scalar(x)
 
 
+def _set_slots(obj: "GradedElem", spec: GradedRingSpec, terms: dict[Mono, Fraction]) -> None:
+    object.__setattr__(obj, "spec", spec)
+    object.__setattr__(obj, "terms", MappingProxyType(terms))
+
+
 class GradedElem:
-    """Finite Q-linear combination of monomials in generators and derivatives."""
+    """Finite Q-linear combination of monomials in generators and derivatives.
+
+    Values are immutable: ``terms`` is a read-only mapping and the slots are
+    set once, in the constructors.
+    """
 
     __slots__ = ("spec", "terms")
 
@@ -115,16 +125,22 @@ class GradedElem:
             mono = _normalize(mono)
             spec._check_mono(mono)
             clean[mono] = clean.get(mono, Fraction(0)) + c
-        self.spec = spec
-        self.terms = {m: c for m, c in clean.items() if c != 0}
+        _set_slots(self, spec, {m: c for m, c in clean.items() if c != 0})
 
     @classmethod
     def _raw(cls, spec: GradedRingSpec, terms: dict[Mono, Fraction]) -> "GradedElem":
         """Trusted constructor: `terms` is already canonical (normalised,
-        valid monomials, nonzero Fraction coefficients)."""
+        valid monomials, nonzero Fraction coefficients) and owned by the
+        result."""
         obj = object.__new__(cls)
-        obj.spec, obj.terms = spec, terms
+        _set_slots(obj, spec, terms)
         return obj
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GradedElem is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GradedElem is immutable; cannot delete {name!r}")
 
     @classmethod
     def sum(cls, spec: GradedRingSpec, terms: Iterable["GradedElem | Scalar"]) -> "GradedElem":

@@ -165,7 +165,8 @@ class RatFunc:
 
     Canonically scalar * N/D with N, D coprime primitive integer polynomials
     of positive leading coefficient; zero is 0/1.  Supports field arithmetic,
-    d/dz, and composition with homographies.
+    d/dz, and composition with homographies.  Values are immutable: the
+    slots are set once, in the constructors.
     """
 
     __slots__ = ("sc", "nump", "denp")
@@ -175,19 +176,23 @@ class RatFunc:
         d, ld = _clear_denoms(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
-        self.sc, self.nump, self.denp = _reduce(Fraction(ld, ln), n, d)
+        _set_slots(self, *_reduce(Fraction(ld, ln), n, d))
 
     @classmethod
     def _from_int(cls, sc: Fraction, nump: IntPoly, denp: IntPoly) -> "RatFunc":
-        obj = object.__new__(cls)
-        obj.sc, obj.nump, obj.denp = _reduce(sc, nump, denp)
-        return obj
+        return cls._raw(*_reduce(sc, nump, denp))
 
     @classmethod
     def _raw(cls, sc: Fraction, nump: IntPoly, denp: IntPoly) -> "RatFunc":
         obj = object.__new__(cls)
-        obj.sc, obj.nump, obj.denp = sc, nump, denp
+        _set_slots(obj, sc, nump, denp)
         return obj
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RatFunc is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"RatFunc is immutable; cannot delete {name!r}")
 
     # -- constructors --
 
@@ -354,6 +359,12 @@ class RatFunc:
         if den == (Fraction(1),):
             return _pstr(num)
         return f"({_pstr(num)})/({_pstr(den)})"
+
+
+def _set_slots(obj: RatFunc, sc: Fraction, nump: IntPoly, denp: IntPoly) -> None:
+    object.__setattr__(obj, "sc", sc)
+    object.__setattr__(obj, "nump", nump)
+    object.__setattr__(obj, "denp", denp)
 
 
 def _reduce(sc: Fraction, n: IntPoly, d: IntPoly) -> tuple[Fraction, IntPoly, IntPoly]:

@@ -39,8 +39,13 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _is_int(v: Any) -> bool:
+    """A JSON integer; ``bool`` is an ``int`` subclass, but ``true`` is not one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_frac(v: Any, field: str) -> Fraction:
-    if isinstance(v, int):
+    if _is_int(v):
         return Fraction(v)
     if isinstance(v, str):
         try:
@@ -106,7 +111,7 @@ def parse_spec(v: Any, field: str = "generators") -> GradedRingSpec:
         if not isinstance(item, list) or len(item) != 3:
             raise ParseError(f"{field}[{i}]: expected [name, weight, invertible]")
         name, weight, inv = item
-        if not isinstance(name, str) or not isinstance(weight, int) or not isinstance(inv, bool):
+        if not isinstance(name, str) or not _is_int(weight) or not isinstance(inv, bool):
             raise ParseError(f"{field}[{i}]: expected [str, int, bool]")
         gens.append(Generator(name, weight, inv))
     try:
@@ -142,14 +147,18 @@ def graded_json(e: GradedElem) -> dict:
 def parse_graded(v: Any, spec: GradedRingSpec, field: str = "elem") -> GradedElem:
     if not isinstance(v, dict) or "terms" not in v:
         raise ParseError(f"{field}: expected an object with 'terms'")
+    if not isinstance(v["terms"], list):
+        raise ParseError(f"{field}.terms: expected an array")
     terms: dict = {}
     for i, t in enumerate(v["terms"]):
         if not isinstance(t, dict) or "c" not in t or "mono" not in t:
             raise ParseError(f"{field}.terms[{i}]: expected 'c' and 'mono'")
         c = parse_frac(t["c"], f"{field}.terms[{i}].c")
+        if not isinstance(t["mono"], list):
+            raise ParseError(f"{field}.terms[{i}].mono: expected an array")
         mono = []
         for j, triple in enumerate(t["mono"]):
-            if not isinstance(triple, list) or len(triple) != 3 or not all(isinstance(x, int) for x in triple):
+            if not isinstance(triple, list) or len(triple) != 3 or not all(map(_is_int, triple)):
                 raise ParseError(f"{field}.terms[{i}].mono[{j}]: expected [genIndex, derivOrder, exponent]")
             mono.append(tuple(triple))
         try:
@@ -197,12 +206,12 @@ def parse_series(v: Any, field: str = "series") -> PDSeries:
             raise ParseError(f"{field}.{key}: missing")
     ring = parse_ring(v["ring"], f"{field}.ring")
     val = v["val"]
-    if not isinstance(val, int):
+    if not _is_int(val):
         raise ParseError(f"{field}.val: expected an integer")
     order = v["order"]
     if order == "exact":
         order = EXACT
-    elif not isinstance(order, int):
+    elif not _is_int(order):
         raise ParseError(f"{field}.order: expected an integer or 'exact'")
     raw = v["coeffs"]
     if not isinstance(raw, list):
@@ -227,6 +236,8 @@ def parse_family(v: Any, field: str = "family") -> WeightedFamily:
     if not isinstance(v, dict) or "components" not in v or "ring" not in v:
         raise ParseError(f"{field}: expected an object with 'ring' and 'components'")
     ring = parse_ring(v["ring"], f"{field}.ring")
+    if not isinstance(v["components"], dict):
+        raise ParseError(f"{field}.components: expected an object")
     comps = {}
     for key, val in v["components"].items():
         try:
@@ -235,4 +246,6 @@ def parse_family(v: Any, field: str = "family") -> WeightedFamily:
             raise ParseError(f"{field}.components: non-integer weight key {key!r}") from None
         comps[m] = parse_coeff(val, ring, f"{field}.components[{key}]")
     start = v.get("start")
-    return WeightedFamily(ring, comps, start=start if isinstance(start, int) else None)
+    if start is not None and not _is_int(start):
+        raise ParseError(f"{field}.start: expected an integer or null")
+    return WeightedFamily(ring, comps, start=start)

@@ -17,6 +17,9 @@ lifts and the invariant expansions built on them) goes through the ring's
 lcm of its denominators instead of after every addition, and a graded sum
 merges term maps without re-validating canonical monomials.  Series values
 are immutable: ``coeffs`` is a read-only mapping.
+
+The inverse is one Newton iteration x <- x + x(1 - q x) at doubling
+precision.  It uses only the ring axioms, so it holds in the skew ring.
 """
 
 from __future__ import annotations
@@ -250,6 +253,12 @@ def series_inverse(q: PDSeries, order: int | None = None) -> PDSeries:
     The leading coefficient must be a unit.  For a truncated input the
     result has valuation -v and order N - 2v; an EXACT input needs either
     an explicit result `order` or a terminating monomial shape.
+
+    Newton iteration x <- x + x(1 - q x) from x = f^{-1} y^{-v}, f the
+    leading coefficient: if q x = 1 - e then q(x + x e) = 1 - e^2 by the
+    ring axioms alone, and valuations add (c_i(0) = 1), so each step doubles
+    the precision in the skew ring too.  x is kept exact (a polynomial), so
+    every product is known to the new precision.
     """
     if q.is_zero():
         raise NotInvertible("zero series is not invertible")
@@ -278,22 +287,12 @@ def series_inverse(q: PDSeries, order: int | None = None) -> PDSeries:
     if rel <= 0:
         return PDSeries.zero(ring, result_order)
 
-    # q = (f y^v) * u with u = 1 + r, v(r) >= 1; inv(q) = inv(u) * y^{-v} f^{-1}
-    minv = series_mul(
-        PDSeries(ring, {-v: ring.one()}, -v + rel),
-        PDSeries.monomial(ring, f_inv, 0),
-    )
-    unit = series_mul(minv, q.truncate(v + rel) if q.order is None else q)
-    r = unit - PDSeries.one(ring).truncate(rel)
-    acc = PDSeries.one(ring).truncate(rel)
-    power = acc
-    neg_r = -r
-    for _ in range(1, rel):
-        power = series_mul(power, neg_r)
-        if power.is_zero() or power.valuation >= rel:
-            break
-        acc = acc + power
-    return series_mul(acc, minv)
+    x, prec = PDSeries.monomial(ring, f_inv, -v), 1
+    while prec < rel:
+        prec = min(2 * prec, rel)
+        e = PDSeries.one(ring) - series_mul(q.truncate(v + prec), x)
+        x = PDSeries(ring, (x + series_mul(x, e)).coeffs)
+    return x.truncate(result_order)
 
 
 def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
@@ -337,7 +336,7 @@ def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
         if ring.is_zero(need):
             continue
         t = PDSeries.monomial(ring, two_e_inv * need, n - w, result_order)
-        square = square + series_mul(z, t) + series_mul(t, z) + series_mul(t, t)
+        square = PDSeries.sum(ring, (square, series_mul(z, t), series_mul(t, z), series_mul(t, t)))
         z = z + t
     return z
 

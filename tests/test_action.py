@@ -35,6 +35,19 @@ def test_act_y_power_result_is_read_only():
     assert act_y_power(1, GMatrix(1, 1, 1, 2), 5).coeff(1) == 1 / (z + 2)
 
 
+def test_act_y_power_coefficients_are_immutable():
+    # the coefficients of a cached result are shared with every later caller
+    c = act_y_power(1, GMatrix(1, 1, 1, 2), 5).coeff(1)
+    for slot in ("sc", "nump", "denp"):
+        with pytest.raises(AttributeError):
+            setattr(c, slot, getattr(c, slot))
+        with pytest.raises(AttributeError):
+            delattr(c, slot)
+    with pytest.raises(AttributeError):
+        c.sc = F(9)
+    assert act_y_power(1, GMatrix(1, 1, 1, 2), 5).coeff(1) == 1 / (z + 2)
+
+
 def test_slash_examples():
     assert slash(z, 0, T) == z + 1
     assert slash(z, 2, S) == -1 / z**3

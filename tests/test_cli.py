@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import pdo
 
 from pdo.cli import main
 from pdo.graded import GradedRingSpec, Generator
@@ -196,3 +202,28 @@ def test_verify_refuses_empty_range(capsys):
     code, out, err = run(capsys, "verify", "RHO", "--umax", "0")
     rep = json.loads(out)
     assert code == 1 and rep["ok"] is False and rep["checked"] == 0 and "nothing" in err
+
+
+QZ_ONE = '{"num":["1/1"],"den":["1/1"]}'
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["inv", '{"ring":{"kind":"qz"},"val":true,"order":"exact","coeffs":[' + QZ_ONE + ']}'], "q.val"),
+        (["inv", '{"ring":{"kind":"qz"},"val":0,"order":false,"coeffs":[]}'], "q.order"),
+        (["star", '{"terms":5}', '{"terms":[]}', "--order", "3"], "f.terms"),
+        (["star", '{"terms":[{"c":"1/1","mono":5}]}', '{"terms":[]}', "--order", "3"], "f.terms[0].mono"),
+        (["star", '{"terms":[{"c":true,"mono":[]}]}', '{"terms":[]}', "--order", "3"], "f.terms[0].c"),
+        (["rc", '{"terms":[]}', '{"terms":{}}', "--k", "1", "--l", "1", "--n", "0", "--ring", "graded"], "g.terms"),
+    ],
+)
+def test_malformed_input_exits_2_without_traceback(argv, field):
+    # a separate process, so that an escaped exception shows as a traceback
+    src = str(Path(pdo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdo.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr and "Traceback" not in proc.stderr

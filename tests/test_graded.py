@@ -86,3 +86,19 @@ def test_str_deterministic():
     e = chi**2 - xi
     assert str(e) == str(chi**2 - xi)
     assert str(spec.zero()) == "0"
+
+
+def test_values_are_immutable():
+    e = chi * spec.gen("xi", 1) + 3
+    h = hash(e)
+    with pytest.raises(TypeError):
+        e.terms[()] = F(5)
+    with pytest.raises(AttributeError):
+        e.terms = {}
+    with pytest.raises(AttributeError):
+        e.spec = spec
+    # sums and negations hand out read-only maps too
+    for made in (e + chi, -e, GradedElem.sum(spec, [e, e])):
+        with pytest.raises(TypeError):
+            made.terms[()] = F(1)
+    assert hash(e) == h and e == chi * spec.gen("xi", 1) + 3

@@ -145,3 +145,50 @@ def test_family_roundtrip():
 def test_deterministic_output():
     q = PDSeries(GR, {1: xi, 4: chi**2 - xi**4}, 8)
     assert json.dumps(series_json(q)) == json.dumps(series_json(q))
+
+
+ONE = {"num": ["1/1"], "den": ["1/1"]}
+
+
+def _graded(v, field):
+    return parse_graded(v, spec, field)
+
+
+@pytest.mark.parametrize(
+    "parse, value, field",
+    [
+        (parse_frac, True, "r"),
+        (parse_spec, [["chi", True, True]], "gens[0]"),
+        (_graded, {"terms": [{"c": "1/1", "mono": [[0, False, 1]]}]}, "e.terms[0].mono[0]"),
+        (parse_series, {"ring": {"kind": "qz"}, "val": True, "order": "exact", "coeffs": [ONE]}, "q.val"),
+        (parse_series, {"ring": {"kind": "qz"}, "val": 0, "order": True, "coeffs": []}, "q.order"),
+        (parse_family, {"ring": {"kind": "qz"}, "start": True, "components": {}}, "F.start"),
+    ],
+)
+def test_json_booleans_are_not_integers(parse, value, field):
+    root = field.partition(".")[0].partition("[")[0]
+    with pytest.raises(ParseError) as ei:
+        parse(value, root)
+    assert field in str(ei.value)
+
+
+@pytest.mark.parametrize(
+    "parse, value, field",
+    [
+        (_graded, {"terms": 5}, "e.terms"),
+        (_graded, {"terms": [{"c": "1/1", "mono": 5}]}, "e.terms[0].mono"),
+        (parse_family, {"ring": {"kind": "qz"}, "components": [ONE]}, "F.components"),
+        (parse_family, {"ring": {"kind": "qz"}, "start": "0", "components": {}}, "F.start"),
+    ],
+)
+def test_malformed_containers_name_the_field(parse, value, field):
+    with pytest.raises(ParseError) as ei:
+        parse(value, field.partition(".")[0])
+    assert field in str(ei.value)
+
+
+def test_family_start_round_trips():
+    empty = WeightedFamily(QZ, {}, start=4)
+    back = parse_family(family_json(empty), "F")
+    assert back == empty and back.start == 4
+    assert parse_family({"ring": {"kind": "qz"}, "start": None, "components": {}}, "F").start == 0

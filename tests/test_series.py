@@ -264,3 +264,86 @@ def test_mul_associative_and_distributive_hypothesis(p, q, r):
     lhs = series_mul(p, q + r)
     rhs = series_mul(p, q) + series_mul(p, r)
     assert lhs.agree(rhs)
+
+
+def geometric_inverse(q, order=None):
+    """The inverse by the geometric series of the unit part, an independent
+    oracle: q = (f y^v) u with u = 1 + r, and inv(q) = (sum_k (-r)^k) y^{-v} f^{-1}."""
+    ring, v = q.ring, q.valuation
+    f_inv = ring.inv(q.coeffs[v])
+    result_order = q.order - 2 * v if q.order is not None else order
+    if order is not None:
+        result_order = min(result_order, order)
+    rel = result_order + v
+    if rel <= 0:
+        return PDSeries.zero(ring, result_order)
+    minv = series_mul(PDSeries(ring, {-v: ring.one()}, -v + rel), PDSeries.monomial(ring, f_inv, 0))
+    unit = series_mul(minv, q.truncate(v + rel) if q.order is None else q)
+    r = unit - PDSeries.one(ring).truncate(rel)
+    acc = power = PDSeries.one(ring).truncate(rel)
+    for _ in range(1, rel):
+        power = series_mul(power, -r)
+        if power.is_zero() or power.valuation >= rel:
+            break
+        acc = acc + power
+    return series_mul(acc, minv)
+
+
+@st.composite
+def invertible_series(draw):
+    """(q, order): a unit-led series over Q(z) or the graded ring, truncated or
+    exact (then with a result order), constant, sparse or dense."""
+    ring = draw(st.sampled_from([QZ, GR]))
+    v = draw(st.integers(-3, 3))
+    span = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["constant", "sparse", "dense"]))
+
+    def coeff(lead):
+        c = draw(st.integers(1, 3) if lead else st.integers(-3, 3))
+        if ring is QZ:
+            num = (c, 0 if lead else draw(st.integers(-2, 2)))
+            return RatFunc(num, (draw(st.integers(1, 3)), 1))
+        unit = chi ** draw(st.integers(-1, 2)) * xi ** draw(st.integers(-2, 2))
+        if lead:
+            return F(c) * unit
+        return F(c) * unit + F(draw(st.integers(-2, 2))) * spec.gen("chi", draw(st.integers(1, 2)))
+
+    coeffs = {v: coeff(True)}
+    for n in range(v + 1, v + span):
+        if shape == "dense" or (shape == "sparse" and draw(st.booleans())):
+            coeffs[n] = coeff(False)
+    if shape == "constant" or draw(st.booleans()):
+        order = draw(st.one_of(st.none(), st.integers(-v - 2, span - v)))
+        return PDSeries(ring, coeffs, v + span), order
+    return PDSeries(ring, coeffs, EXACT), draw(st.integers(-v - 2, span - v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(invertible_series())
+def test_inverse_matches_geometric_series_oracle(case):
+    q, order = case
+    v = q.valuation
+    inv = series_inverse(q, order=order)
+    assert inv == geometric_inverse(q, order)
+    result_order = order if q.order is None else q.order - 2 * v
+    if order is not None:
+        result_order = min(result_order, order)
+    assert inv.order == result_order
+    rel = result_order + v
+    # two-sided: q inv = inv q = 1 + O(y^{N - v})
+    one = PDSeries.one(q.ring)
+    for prod in (series_mul(q, inv), series_mul(inv, q)):
+        assert prod.order == rel and prod.agree(one)
+    # precision contract: a shorter input changes nothing below its order
+    top = v + rel if q.order is None else q.order
+    for m in range(v + 1, top):
+        short = series_inverse(q.truncate(m), order=order)
+        assert short.order == min(result_order, m - 2 * v)
+        assert short.agree(inv, m - 2 * v)
+
+
+def test_inverse_short_precision_is_the_zero_series():
+    q = PDSeries(QZ, {2: z + 1, 3: z}, 9)
+    got = series_inverse(q, order=-2)
+    assert got == geometric_inverse(q, -2) == PDSeries.zero(QZ, -2)
+    assert series_inverse(PDSeries(GR, {-1: chi}), order=1) == PDSeries.zero(GR, 1)
