@@ -94,6 +94,33 @@ def _normalize(mono: Iterable[tuple[int, int, int]]) -> Mono:
     )
 
 
+def _mono_mul(m1: Mono, m2: Mono) -> Mono:
+    """Product of two canonical monomials: one merge of the sorted factors,
+    adding the exponents of a shared (gen, deriv) and dropping a zero sum."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = k = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and k < n2:
+        a, b = m1[i], m2[k]
+        if a[0] == b[0] and a[1] == b[1]:
+            e = a[2] + b[2]
+            if e:
+                out.append((a[0], a[1], e))
+            i += 1
+            k += 1
+        elif a < b:  # decided by (gen, deriv), which differ here
+            out.append(a)
+            i += 1
+        else:
+            out.append(b)
+            k += 1
+    return (*out, *m1[i:], *m2[k:])
+
+
 def _coerce(spec: GradedRingSpec, x: "GradedElem | Scalar") -> "GradedElem":
     if isinstance(x, GradedElem):
         if x.spec is not spec and x.spec != spec:
@@ -111,7 +138,10 @@ class GradedElem:
     """Finite Q-linear combination of monomials in generators and derivatives.
 
     Values are immutable: ``terms`` is a read-only mapping and the slots are
-    set once, in the constructors.
+    set once, in the constructors.  The public constructor normalises and
+    validates its input; sums, products, scalings and derivatives of
+    canonical values are canonical, so they build their results through
+    ``_raw`` without a re-check.
     """
 
     __slots__ = ("spec", "terms")
@@ -149,7 +179,8 @@ class GradedElem:
         out: dict[Mono, Fraction] = {}
         for t in terms:
             for m, c in _coerce(spec, t).terms.items():
-                out[m] = out.get(m, 0) + c
+                prev = out.get(m)
+                out[m] = c if prev is None else prev + c
         return cls._raw(spec, {m: c for m, c in out.items() if c})
 
     # -- predicates --
@@ -185,13 +216,19 @@ class GradedElem:
         return _coerce(self.spec, other) - self
 
     def __mul__(self, other: "GradedElem | Scalar") -> "GradedElem":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return GradedElem._raw(self.spec, {})
+            return GradedElem._raw(self.spec, {m: c * other for m, c in self.terms.items()})
         other = _coerce(self.spec, other)
         out: dict[Mono, Fraction] = {}
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _normalize(m1 + m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return GradedElem(self.spec, out)
+            for m2, c2 in right:
+                m = _mono_mul(m1, m2)
+                c = out.get(m)
+                out[m] = c1 * c2 if c is None else c + c1 * c2
+        return GradedElem._raw(self.spec, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -232,14 +269,24 @@ class GradedElem:
         return GradedElem(self.spec, {inv_mono: Fraction(1) / c})
 
     def deriv(self) -> "GradedElem":
-        """Formal derivative: sends g^(j) to g^(j+1) by the Leibniz rule."""
+        """Formal derivative: sends g^(j) to g^(j+1) by the Leibniz rule.
+
+        A factor (g, j, e) becomes e (g, j, e-1)(g, j+1, 1), the new factor
+        folded into a (g, j+1, .) right after it; exponents at j+1 >= 1 are
+        positive, so the fold never cancels.
+        """
         out: dict[Mono, Fraction] = {}
         for mono, c in self.terms.items():
             for pos, (g, j, e) in enumerate(mono):
-                rest = mono[:pos] + mono[pos + 1 :]
-                bumped = _normalize(rest + ((g, j, e - 1), (g, j + 1, 1)))
-                out[bumped] = out.get(bumped, Fraction(0)) + c * e
-        return GradedElem(self.spec, out)
+                head = mono[:pos] if e == 1 else (*mono[:pos], (g, j, e - 1))
+                tail = mono[pos + 1 :]
+                if tail and tail[0][0] == g and tail[0][1] == j + 1:
+                    bumped = (*head, (g, j + 1, tail[0][2] + 1), *tail[1:])
+                else:
+                    bumped = (*head, (g, j + 1, 1), *tail)
+                prev = out.get(bumped)
+                out[bumped] = c * e if prev is None else prev + c * e
+        return GradedElem._raw(self.spec, {m: c for m, c in out.items() if c})
 
     def deriv_n(self, n: int) -> "GradedElem":
         f = self

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .coeffs import gbinom, lift_coeff, omega
@@ -48,8 +49,12 @@ class WeightedFamily:
     """A finitely supported map weight -> coefficient-ring element.
 
     In the graded model each nonzero component must be homogeneous of its
-    index weight; over Q(z) the indices are formal.
+    index weight; over Q(z) the indices are formal.  Values are immutable:
+    ``components`` is a read-only mapping and the slots are set once, in the
+    constructor.
     """
+
+    __slots__ = ("ring", "components", "start")
 
     def __init__(self, ring, components: Mapping[int, object], start: int | None = None):
         clean = {}
@@ -58,9 +63,20 @@ class WeightedFamily:
             if ring.is_zero(f):
                 continue
             clean[m] = f
-        self.ring = ring
-        self.components = clean
-        self.start = min(clean) if clean else (start if start is not None else 0)
+        start = min(clean) if clean else (start if start is not None else 0)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "components", MappingProxyType(clean))
+        object.__setattr__(self, "start", start)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"WeightedFamily is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"WeightedFamily is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by setting slots
+        return WeightedFamily, (self.ring, dict(self.components), self.start)
 
     def component(self, m: int):
         return self.components.get(m, self.ring.zero())

@@ -408,17 +408,29 @@ def _pstr(p: Sequence[Fraction]) -> str:
 
 
 class GMatrix:
-    """Element of SL(2, Q) acting on Q(z) by homographies."""
+    """Element of SL(2, Q) acting on Q(z) by homographies.
+
+    Values are immutable, so the determinant stays 1 and a matrix keeps its
+    hash as a cache key: the slots are set once, in the constructor.
+    """
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+        for name, x in zip(self.__slots__, (a, b, c, d)):
+            object.__setattr__(self, name, Fraction(x))
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("matrix determinant must be 1")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GMatrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GMatrix is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by setting slots
+        return GMatrix, (self.a, self.b, self.c, self.d)
 
     @classmethod
     def identity(cls) -> "GMatrix":

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -46,6 +48,23 @@ def test_act_y_power_coefficients_are_immutable():
     with pytest.raises(AttributeError):
         c.sc = F(9)
     assert act_y_power(1, GMatrix(1, 1, 1, 2), 5).coeff(1) == 1 / (z + 2)
+
+
+def test_gmatrix_is_immutable():
+    # a matrix is an act_y_power cache key, so its entries must not change
+    g = GMatrix(1, 1, 1, 2)
+    first = act_y_power(1, g, 5)
+    h = hash(g)
+    for slot in ("a", "b", "c", "d"):
+        with pytest.raises(AttributeError):
+            setattr(g, slot, F(5))
+        with pytest.raises(AttributeError):
+            delattr(g, slot)
+    assert (g.a, g.b, g.c, g.d) == (1, 1, 1, 2) and hash(g) == h
+    assert copy.copy(g) == g and pickle.loads(pickle.dumps(g)) == g
+    assert act_y_power(1, g, 5) is first
+    with pytest.raises(ValueError):
+        GMatrix(1, 1, 1, 5)
 
 
 def test_slash_examples():

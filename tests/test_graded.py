@@ -1,9 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdo.errors import NotAUnit, NotHomogeneous, ZeroElement
-from pdo.graded import GradedElem, GradedRingSpec, Generator
+from pdo.graded import GradedElem, GradedRingSpec, Generator, _normalize
 
 spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True), Generator("F", 3)])
 chi = spec.gen("chi")
@@ -102,3 +103,81 @@ def test_values_are_immutable():
         with pytest.raises(TypeError):
             made.terms[()] = F(1)
     assert hash(e) == h and e == chi * spec.gen("xi", 1) + 3
+
+
+# -- the trusted product, scaling and derivative against the old formulas --
+
+
+def ref_mul(a: GradedElem, b: GradedElem) -> GradedElem:
+    """Concatenate, re-normalise and re-validate every product monomial."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = _normalize(m1 + m2)
+            out[m] = out.get(m, F(0)) + c1 * c2
+    return GradedElem(spec, out)
+
+
+def ref_deriv(a: GradedElem) -> GradedElem:
+    """Leibniz: replace each factor (g, j, e) by e (g, j, e-1)(g, j+1, 1)."""
+    out = {}
+    for mono, c in a.terms.items():
+        for pos, (g, j, e) in enumerate(mono):
+            rest = mono[:pos] + mono[pos + 1 :]
+            bumped = _normalize(rest + ((g, j, e - 1), (g, j + 1, 1)))
+            out[bumped] = out.get(bumped, F(0)) + c * e
+    return GradedElem(spec, out)
+
+
+def assert_same_canonical(got: GradedElem, ref: GradedElem) -> None:
+    assert got.terms == ref.terms
+    assert all(type(c) is F and c != 0 for c in got.terms.values())
+    assert GradedElem(spec, got.terms).terms == got.terms
+
+
+@st.composite
+def monos(draw):
+    """Unnormalised factor lists; negative exponents only on the invertible
+    chi and xi at derivative order 0, as the constructor demands."""
+    out = []
+    for g, j, e in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(1, 3)), max_size=4)):
+        if spec.generators[g].invertible and j == 0 and draw(st.booleans()):
+            e = -e
+        out.append((g, j, e))
+    return tuple(out)
+
+
+elems = st.dictionaries(monos(), st.fractions(-3, 3, max_denominator=4), max_size=5).map(
+    lambda terms: GradedElem(spec, terms)
+)
+scalars = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(elems, elems, scalars, st.integers(0, 4))
+def test_fast_paths_match_old_formulas(a, b, c, n):
+    assert_same_canonical(a * b, ref_mul(a, b))
+    assert_same_canonical((a + b) * (a - b), ref_mul(a + b, a - b))
+    assert_same_canonical(a * c, ref_mul(a, spec.scalar(c)))
+    assert_same_canonical(c * a, ref_mul(spec.scalar(c), a))
+    assert_same_canonical(a * spec.scalar(c), ref_mul(a, spec.scalar(c)))
+    ref = a
+    for _ in range(n):
+        ref = ref_deriv(ref)
+    assert_same_canonical(a.deriv_n(n), ref)
+    assert_same_canonical((a * b).deriv(), ref_deriv(ref_mul(a, b)))
+
+
+def test_fast_paths_cancel():
+    chi1, chi2 = spec.gen("chi", 1), spec.gen("chi", 2)
+    assert_same_canonical(chi * chi**-1, spec.one())
+    assert_same_canonical(xi**-2 * chi * xi**2 * chi**-1, spec.one())
+    a, b = chi**-1 * chi1, xi * spec.gen("xi", 1) ** 2
+    assert_same_canonical((a + b) * (a - b), ref_mul(a, a) - ref_mul(b, b))
+    assert_same_canonical(chi * 0, spec.zero())
+    assert_same_canonical(F(0) * chi, spec.zero())
+    # d(chi1 chi2 - chi chi^(3)) collapses to chi2^2 - chi chi^(4)
+    e = chi1 * chi2 - chi * spec.gen("chi", 3)
+    assert_same_canonical(e.deriv(), chi2 * chi2 - chi * spec.gen("chi", 4))
+    # the bumped factor folds into the next derivative order
+    assert_same_canonical((chi**-2 * chi1**3).deriv_n(2), ref_deriv(ref_deriv(chi**-2 * chi1**3)))

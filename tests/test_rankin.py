@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 
@@ -48,6 +49,21 @@ def test_star_components():
     b = spec.scalar(F(1, 2))
     fam0 = star(a, b, 8)
     assert fam0.components == {0: spec.scalar(F(3, 2))}
+
+
+def test_weighted_family_is_immutable():
+    fam = star(xi * chi, chi, 13)
+    before = dict(fam.components)
+    with pytest.raises(TypeError):
+        fam.components[99] = "junk"
+    for slot, value in (("start", -7), ("components", {}), ("ring", None)):
+        with pytest.raises(AttributeError):
+            setattr(fam, slot, value)
+        with pytest.raises(AttributeError):
+            delattr(fam, slot)
+    assert dict(fam.components) == before and fam.start == 5
+    assert fam == star(xi * chi, chi, 13)
+    assert copy.copy(fam) == fam
 
 
 def test_star_weight_additivity_even_offsets():

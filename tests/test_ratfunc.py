@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pdo.errors import DivisionByZero
-from pdo.ratfunc import GMatrix, RatFunc, mobius_compose
+from pdo.ratfunc import GMatrix, RatFunc, _imul, mobius_compose
 
 z = RatFunc.z()
 T = GMatrix(1, 1, 0, 1)
@@ -126,3 +128,90 @@ def test_hash_and_eq_structural():
     # equal values hash alike, so constants and their Fraction find each other
     assert 3 in {RatFunc.const(3): 1} and F(1, 2) in {RatFunc.const(F(1, 2))}
     assert RatFunc.const(0) in {0}
+
+
+# -- differential tests of the field operations against sympy.cancel --
+
+fracs = st.fractions(-4, 4, max_denominator=3)
+
+
+@st.composite
+def ratfuncs(draw):
+    num = draw(st.lists(fracs, min_size=1, max_size=4))
+    den = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(any))
+    # denominators drawn from a few shared factors make the operands' gcds
+    # nontrivial
+    shift = draw(st.sampled_from(((1,), (-1, 1), (2, 1), (1, 0, 1))))
+    return RatFunc(num, _imul(tuple(den), shift))
+
+
+@st.composite
+def matrices(draw):
+    """SL(2, Q) elements with rational entries, c = 0 included."""
+    a = draw(fracs.filter(bool))
+    b, c = draw(fracs), draw(fracs)
+    return GMatrix(a, b, c, (1 + b * c) / a)
+
+
+def stored_fraction(f: RatFunc):
+    """The stored form sc * N/D as a SymPy numerator and denominator; the
+    `num` property is not used."""
+    sympy = pytest.importorskip("sympy")
+    zs = sympy.Symbol("z")
+
+    def poly(p):
+        return sum((sympy.Integer(c) * zs**k for k, c in enumerate(p)), sympy.Integer(0))
+
+    return f.sc.numerator * poly(f.nump), f.sc.denominator * poly(f.denp)
+
+
+def to_sympy(f: RatFunc):
+    num, den = stored_fraction(f)
+    return num / den
+
+
+def assert_canonical(f: RatFunc) -> None:
+    sympy = pytest.importorskip("sympy")
+    zs = sympy.Symbol("z")
+    if f.sc == 0:
+        assert (f.nump, f.denp) == ((), (1,))
+        return
+    for p in (f.nump, f.denp):
+        assert p and p[-1] > 0 and gcd(*p) == 1
+    n, d = (sympy.Poly(list(reversed(p)), zs) for p in (f.nump, f.denp))
+    assert sympy.gcd(n, d).degree() == 0
+
+
+def assert_matches(got: RatFunc, expr) -> None:
+    """`got` is canonical and equals `expr`: its stored fraction is compared
+    with the reduced fraction of sympy.cancel by cross-multiplying, as
+    polynomials, since cancel may leave a zero difference unevaluated."""
+    sympy = pytest.importorskip("sympy")
+    assert_canonical(got)
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    gnum, gden = stored_fraction(got)
+    assert sympy.Poly(num * gden - gnum * den, sympy.Symbol("z")).is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(ratfuncs(), ratfuncs())
+def test_field_ops_match_sympy(f, g):
+    sympy = pytest.importorskip("sympy")
+    zs = sympy.Symbol("z")
+    ef, eg = to_sympy(f), to_sympy(g)
+    assert_matches(f + g, ef + eg)
+    assert_matches(f - g, ef - eg)
+    assert_matches(f * g, ef * eg)
+    assert_matches(f.deriv(), sympy.diff(ef, zs))
+    assert_matches(f.deriv_n(2), sympy.diff(ef, zs, 2))
+    assume(not g.is_zero())
+    assert_matches(f / g, ef / eg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ratfuncs(), matrices())
+def test_mobius_compose_matches_sympy(f, g):
+    sympy = pytest.importorskip("sympy")
+    zs = sympy.Symbol("z")
+    image = (sympy.Rational(g.a) * zs + sympy.Rational(g.b)) / (sympy.Rational(g.c) * zs + sympy.Rational(g.d))
+    assert_matches(mobius_compose(f, g), to_sympy(f).subs(zs, image))
