@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -281,6 +282,11 @@ def _cmd_verify(args) -> None:
         for key in VERIFY_FLAGS
         if getattr(args, key) is not None
     }
+    takes = inspect.signature(SUITES[args.suite]).parameters
+    for key in params:
+        if key not in takes:
+            known = ", ".join(f"--{k}" for k in takes if k in VERIFY_FLAGS)
+            raise ParseError(f"--{key}: suite {args.suite} takes only {known}")
     rep = run_suite(args.suite, **params)
     _emit({
         "suite": rep.name,

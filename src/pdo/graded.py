@@ -15,6 +15,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .errors import NotAUnit, NotHomogeneous, ZeroElement
+from .frozen import Frozen
 
 Scalar = Union[int, Fraction]
 
@@ -134,14 +135,13 @@ def _set_slots(obj: "GradedElem", spec: GradedRingSpec, terms: dict[Mono, Fracti
     object.__setattr__(obj, "terms", MappingProxyType(terms))
 
 
-class GradedElem:
+class GradedElem(Frozen):
     """Finite Q-linear combination of monomials in generators and derivatives.
 
-    Values are immutable: ``terms`` is a read-only mapping and the slots are
-    set once, in the constructors.  The public constructor normalises and
-    validates its input; sums, products, scalings and derivatives of
-    canonical values are canonical, so they build their results through
-    ``_raw`` without a re-check.
+    Values are immutable: ``terms`` is a read-only mapping.  The public
+    constructor normalises and validates its input; sums, products, scalings
+    and derivatives of canonical values are canonical, so they build their
+    results through ``_raw`` without a re-check.
     """
 
     __slots__ = ("spec", "terms")
@@ -166,11 +166,8 @@ class GradedElem:
         _set_slots(obj, spec, terms)
         return obj
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"GradedElem is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"GradedElem is immutable; cannot delete {name!r}")
+    def __reduce__(self):
+        return GradedElem._raw, (self.spec, dict(self.terms))
 
     @classmethod
     def sum(cls, spec: GradedRingSpec, terms: Iterable["GradedElem | Scalar"]) -> "GradedElem":

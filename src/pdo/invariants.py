@@ -132,12 +132,12 @@ def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRing) -> Wei
     """
     a = [ring.coerce(x) for x in a]
     for j, x in enumerate(a):
-        if not ring.is_zero(x) and not x.is_homogeneous(0):
+        if not x.is_zero() and not x.is_homogeneous(0):
             raise NotHomogeneous(f"coefficient a_{j} must have weight 0")
     m_max = (order - 1) // 2
-    gtabs = {k: g_forms(k, m_max, ring) for k in range(len(a)) if not ring.is_zero(a[k])}
+    gtabs = {k: g_forms(k, m_max, ring) for k in range(len(a)) if not a[k].is_zero()}
     comps: dict[int, GradedElem] = {}
-    if a and not ring.is_zero(a[0]):
+    if a and not a[0].is_zero():
         comps[0] = a[0]
     for m in range(1, m_max + 1):
         gs = (
@@ -152,7 +152,7 @@ def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRing) -> Wei
             * gbinom(m, m - n)
             * rc_bracket(a[k], g, 0, 2 * n, m - n)
             for k, n, g in gs
-            if not ring.is_zero(g)
+            if not g.is_zero()
         )
         pref = Fraction((-1) ** m * factorial(m - 1), factorial(2 * m - 2))
         comps[2 * m] = pref * acc
@@ -195,7 +195,7 @@ def rewrite_in_u(q: PDSeries, order: int | None = None) -> list[GradedElem]:
         k += 1
         if current.is_zero():
             break
-    while out and ring.is_zero(out[-1]):
+    while out and out[-1].is_zero():
         out.pop()
     if not out:
         out = [ring.zero()]

@@ -26,6 +26,7 @@ from .errors import (
     ParityMismatch,
     ValuationTooLow,
 )
+from .frozen import Frozen
 from .ratfunc import GMatrix, RatFunc
 from .rings import ring_of
 from .series import EXACT, PDSeries, series_inverse, series_mul
@@ -45,13 +46,12 @@ __all__ = [
 ]
 
 
-class WeightedFamily:
+class WeightedFamily(Frozen):
     """A finitely supported map weight -> coefficient-ring element.
 
     In the graded model each nonzero component must be homogeneous of its
     index weight; over Q(z) the indices are formal.  Values are immutable:
-    ``components`` is a read-only mapping and the slots are set once, in the
-    constructor.
+    ``components`` is a read-only mapping.
     """
 
     __slots__ = ("ring", "components", "start")
@@ -60,22 +60,14 @@ class WeightedFamily:
         clean = {}
         for m, f in components.items():
             f = ring.coerce(f)
-            if ring.is_zero(f):
-                continue
-            clean[m] = f
+            if not f.is_zero():
+                clean[m] = f
         start = min(clean) if clean else (start if start is not None else 0)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "components", MappingProxyType(clean))
         object.__setattr__(self, "start", start)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"WeightedFamily is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"WeightedFamily is immutable; cannot delete {name!r}")
-
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not by setting slots
         return WeightedFamily, (self.ring, dict(self.components), self.start)
 
     def component(self, m: int):
@@ -88,6 +80,9 @@ class WeightedFamily:
         if not isinstance(other, WeightedFamily):
             return NotImplemented
         return self.ring == other.ring and self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((self.ring, frozenset(self.components.items())))
 
     def agree(self, other: "WeightedFamily", upto: int) -> bool:
         for m in set(self.components) | set(other.components):
@@ -111,7 +106,7 @@ def psi(m: int, f, order: int | None = None, ring=None) -> PDSeries:
         raise NegativeOddWeight(f"no lifting map at weight {m}")
     ring = ring_of(f, ring)
     f = ring.coerce(f)
-    if ring.is_graded and not ring.is_zero(f) and not f.is_homogeneous(m):
+    if ring.is_graded and not f.is_zero() and not f.is_homogeneous(m):
         raise NotHomogeneous(f"lifting a weight-{m} coefficient needs weight-{m} input")
     exact = m <= 0 and m % 2 == 0
     if not exact and order is None:
@@ -145,13 +140,13 @@ def psi_neg_via_xi(k: int, f, xi, order: int, ring=None) -> PDSeries:
     if k <= 0:
         raise ValueError("k must be positive")
     ring = ring_of(f, ring)
-    xi = ring.coerce(xi)
+    xi, f = ring.coerce(xi), ring.coerce(f)
     if not ring.is_unit(xi):
         raise NotAUnit("xi must be an invertible unit")
     if ring.is_graded:
         if not xi.is_homogeneous(1):
             raise NotHomogeneous("xi must have weight 1")
-        if not ring.is_zero(f) and not ring.coerce(f).is_homogeneous(-k):
+        if not f.is_zero() and not f.is_homogeneous(-k):
             raise NotHomogeneous(f"input must be homogeneous of weight {-k}")
     xi2k = xi ** (2 * k)
     denom = psi(2 * k, xi2k, order + 3 * k, ring=ring)
@@ -271,7 +266,7 @@ def closed_pairs(direction: str, family: WeightedFamily) -> WeightedFamily:
     for n in range(lo, top + 1):
         parts = ((n - s, family.component(a * s + b)) for s in range(lo, n + 1))
         out[c * n + d] = ring.sum(
-            coeff(n, r) * f.deriv_n(r) for r, f in parts if not ring.is_zero(f)
+            coeff(n, r) * f.deriv_n(r) for r, f in parts if not f.is_zero()
         )
     return WeightedFamily(ring, out)
 

@@ -20,6 +20,7 @@ from math import lcm as _intlcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DivisionByZero
+from .frozen import Frozen
 
 Scalar = Union[int, Fraction]
 IntPoly = tuple[int, ...]
@@ -82,18 +83,11 @@ def _ideriv(p: IntPoly) -> IntPoly:
     return _itrim([i * c for i, c in enumerate(p)][1:])
 
 
-def _icontent(p: IntPoly) -> int:
-    g = 0
-    for c in p:
-        g = _intgcd(g, c)
-    return g
-
-
 def _iprim(p: IntPoly) -> IntPoly:
     """Primitive part with positive leading coefficient; () for zero."""
     if not p:
         return ()
-    g = _icontent(p)
+    g = _intgcd(*p)
     if p[-1] < 0:
         g = -g
     return tuple(c // g for c in p)
@@ -160,13 +154,12 @@ def _clear_denoms(coeffs: Sequence[Scalar]) -> tuple[IntPoly, int]:
     return _itrim([int(c * L) for c in fracs]), L
 
 
-class RatFunc:
+class RatFunc(Frozen):
     """Element of Q(z): a reduced fraction of polynomials.
 
     Canonically scalar * N/D with N, D coprime primitive integer polynomials
     of positive leading coefficient; zero is 0/1.  Supports field arithmetic,
-    d/dz, and composition with homographies.  Values are immutable: the
-    slots are set once, in the constructors.
+    d/dz, and composition with homographies.  Values are immutable.
     """
 
     __slots__ = ("sc", "nump", "denp")
@@ -188,11 +181,8 @@ class RatFunc:
         _set_slots(obj, sc, nump, denp)
         return obj
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"RatFunc is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"RatFunc is immutable; cannot delete {name!r}")
+    def __reduce__(self):
+        return RatFunc._raw, (self.sc, self.nump, self.denp)
 
     # -- constructors --
 
@@ -234,10 +224,6 @@ class RatFunc:
 
     def is_polynomial(self) -> bool:
         return len(self.denp) == 1
-
-    def poly_degree(self) -> int:
-        """Degree of the numerator (the degree when polynomial); -1 for zero."""
-        return len(self.nump) - 1
 
     # -- arithmetic --
 
@@ -371,7 +357,7 @@ def _reduce(sc: Fraction, n: IntPoly, d: IntPoly) -> tuple[Fraction, IntPoly, In
     """Canonicalize scalar * n/d: coprime primitive parts, positive leads."""
     if not n or sc == 0:
         return Fraction(0), (), (1,)
-    cn, cd = _icontent(n), _icontent(d)
+    cn, cd = _intgcd(*n), _intgcd(*d)
     if n[-1] < 0:
         cn = -cn
     if d[-1] < 0:
@@ -407,11 +393,11 @@ def _pstr(p: Sequence[Fraction]) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-class GMatrix:
+class GMatrix(Frozen):
     """Element of SL(2, Q) acting on Q(z) by homographies.
 
     Values are immutable, so the determinant stays 1 and a matrix keeps its
-    hash as a cache key: the slots are set once, in the constructor.
+    hash as a cache key.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -422,14 +408,7 @@ class GMatrix:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("matrix determinant must be 1")
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"GMatrix is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"GMatrix is immutable; cannot delete {name!r}")
-
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not by setting slots
         return GMatrix, (self.a, self.b, self.c, self.d)
 
     @classmethod

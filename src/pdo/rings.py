@@ -1,9 +1,11 @@
 """Coefficient-ring handles used by the series engine.
 
-A handle bundles a coefficient domain with the derivation of the operator
-rings, ``delta = -deriv/2`` (deriv is d/dz on Q(z), the formal derivative on
-a graded ring), which drives the quadratic commutation law, and with ``sum``,
-the one summation every accumulation goes through.
+A handle holds what Q(z) and a free graded differential ring differ in:
+zero and one, coercion of scalars, units and their inverses, and which
+elements have a vanishing derivative (``deriv_terminates``, which decides
+whether a product of exact series is finite), plus ``sum``, the one
+summation every accumulation goes through.  Elements answer ``is_zero``
+and ``deriv`` themselves.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ __all__ = ["QzRing", "GradedRing", "QZ", "ring_of"]
 
 
 class QzRing:
-    """Q(z) with d = -d/dz."""
+    """Q(z) with the derivation d/dz."""
 
     is_graded = False
 
@@ -37,25 +39,15 @@ class QzRing:
     def sum(self, terms: Iterable[RatFunc]) -> RatFunc:
         return RatFunc.sum(terms)
 
-    def is_zero(self, f: RatFunc) -> bool:
-        return f.is_zero()
-
     def is_unit(self, f: RatFunc) -> bool:
         return not f.is_zero()
 
     def inv(self, f: RatFunc) -> RatFunc:
         return f.inverse()
 
-    def delta(self, f: RatFunc) -> RatFunc:
-        return f.deriv() * Fraction(-1, 2)
-
-    def delta_nilpotency(self, f: RatFunc) -> int | None:
-        """Least u with delta^u(f) = 0, or None when no power vanishes."""
-        if f.is_zero():
-            return 0
-        if f.is_polynomial():
-            return f.poly_degree() + 1
-        return None
+    def deriv_terminates(self, f: RatFunc) -> bool:
+        """Whether some derivative of f vanishes: f is a polynomial."""
+        return f.is_polynomial()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QzRing)
@@ -71,7 +63,7 @@ QZ = QzRing()
 
 
 class GradedRing:
-    """A free differential graded ring with d = -(formal derivative)."""
+    """A free differential graded ring with its formal derivative."""
 
     is_graded = True
 
@@ -94,9 +86,6 @@ class GradedRing:
     def sum(self, terms: Iterable[GradedElem]) -> GradedElem:
         return GradedElem.sum(self.spec, terms)
 
-    def is_zero(self, f: GradedElem) -> bool:
-        return f.is_zero()
-
     def is_unit(self, f: GradedElem) -> bool:
         if len(f.terms) != 1:
             return False
@@ -109,15 +98,10 @@ class GradedRing:
     def inv(self, f: GradedElem) -> GradedElem:
         return f.inv_unit()
 
-    def delta(self, f: GradedElem) -> GradedElem:
-        return f.deriv() * Fraction(-1, 2)
-
-    def delta_nilpotency(self, f: GradedElem) -> int | None:
-        if f.is_zero():
-            return 0
-        if f.is_scalar():
-            return 1
-        return None
+    def deriv_terminates(self, f: GradedElem) -> bool:
+        """Whether some derivative of f vanishes: in a free differential
+        ring, only the scalars."""
+        return f.is_scalar()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GradedRing) and self.spec == other.spec

@@ -1,9 +1,9 @@
 """Truncated skew Laurent series in y over a coefficient ring.
 
-The single commutation engine implements y^i f = sum_u c_i(u) d^u(f) y^{i+2u}
-(with d the ring's half-derivation ``delta``); the even-exponent subring is
-the x-series ring via x = y^2, whose law x^m f = sum_u b_m(u) (2 delta)^u(f)
-x^{m+u} is the even specialisation of the same engine.
+The single commutation engine implements y^i f = sum_u c_i(u) delta^u(f)
+y^{i+2u} with delta = -d/2, d the coefficient ring's derivation ``deriv``; the
+even-exponent subring is the x-series ring via x = y^2, whose law
+x^m f = sum_u b_m(u) (2 delta)^u(f) x^{m+u} is the even specialisation.
 
 Precision contract: ``order = None`` is the EXACT sentinel, meaning every
 omitted coefficient is identically zero.  All other series carry a finite
@@ -16,7 +16,7 @@ lifts and the invariant expansions built on them) goes through the ring's
 ``sum``, which canonicalises once per result: a Q(z) sum is reduced over the
 lcm of its denominators instead of after every addition, and a graded sum
 merges term maps without re-validating canonical monomials.  Series values
-are immutable: ``coeffs`` is a read-only mapping.
+are immutable and hashable: ``coeffs`` is a read-only mapping.
 
 The inverse is one Newton iteration x <- x + x(1 - q x) at doubling
 precision.  It uses only the ring axioms, so it holds in the skew ring.
@@ -25,10 +25,10 @@ precision.  It uses only the ring axioms, so it holds in the skew ring.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .coeffs import comm_coeff_c
 from .errors import (
     BadRoot,
     NotInvertible,
@@ -36,6 +36,7 @@ from .errors import (
     OrderUnresolvable,
     RingMismatch,
 )
+from .frozen import Frozen
 
 EXACT = None
 
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 
-class PDSeries:
+class PDSeries(Frozen):
     """Skew Laurent series: {exponent: coefficient} plus a truncation order."""
 
     __slots__ = ("ring", "coeffs", "order")
@@ -58,14 +59,14 @@ class PDSeries:
         clean = {}
         for n, c in coeffs.items():
             c = ring.coerce(c)
-            if ring.is_zero(c):
-                continue
-            if order is not None and n >= order:
-                continue
-            clean[n] = c
-        self.ring = ring
-        self.coeffs = MappingProxyType(clean)
-        self.order = order
+            if not c.is_zero() and (order is None or n < order):
+                clean[n] = c
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+        object.__setattr__(self, "order", order)
+
+    def __reduce__(self):
+        return PDSeries, (self.ring, dict(self.coeffs), self.order)
 
     # -- constructors --
 
@@ -160,6 +161,9 @@ class PDSeries:
             and self.coeffs == other.coeffs
         )
 
+    def __hash__(self) -> int:
+        return hash((self.ring, self.order, frozenset(self.coeffs.items())))
+
     def agree(self, other: "PDSeries", upto: int | None = None) -> bool:
         """Coefficientwise equality below min(orders, upto)."""
         self._check_ring(other)
@@ -191,10 +195,15 @@ def _min_order(a: int | None, b: int | None) -> int | None:
 def series_mul(p: PDSeries, q: PDSeries) -> PDSeries:
     """Product of skew series, exact to order min(N_p + v_q, N_q + v_p).
 
+    y^i f * y^j g = sum_u a_i(u) d^u(g) y^{i+j+2u} with a_i(u) = c_i(u)
+    (-1/2)^u f.  Each a_i and each derivative chain d^u(g) is extended lazily
+    and at most once per operand coefficient, a_i by the step ratio
+    a_i(u) / a_i(u-1) = -(i+2u-2)/(2u); a zero entry ends either chain.
+
     The result is EXACT only when both inputs are EXACT and every commutation
-    series terminates (left exponent even and nonpositive, or the moved
-    coefficient eventually annihilated by the derivation); otherwise EXACT
-    inputs must be truncated first.
+    series terminates (left exponent even and nonpositive, or a derivative
+    of the moved coefficient vanishing); otherwise EXACT inputs must be
+    truncated first.
     """
     p._check_ring(q)
     ring = p.ring
@@ -204,46 +213,30 @@ def series_mul(p: PDSeries, q: PDSeries) -> PDSeries:
     target = min(np_ + vq, nq_ + vp)
     exact = target == math.inf
 
-    # lazily extended delta-derivative chains of q's coefficients
-    chains: dict[int, list] = {j: [g] for j, g in q.coeffs.items()}
-
-    def delta_pow(j: int, u: int):
-        chain = chains[j]
-        while len(chain) <= u:
-            chain.append(ring.delta(chain[-1]))
-        return chain[u]
-
-    # the terms f * c * delta^u(g) of each exponent, formed only inside its sum
+    left = {i: [f] for i, f in p.coeffs.items()}  # a_i(0), a_i(1), ...
+    right = {j: [g] for j, g in q.coeffs.items()}  # g, d(g), d^2(g), ...
+    # the products a_i(u) d^u(g) of each exponent, formed only inside its sum
     terms: dict[int, list] = {}
-    for i, f in p.coeffs.items():
-        for j, g in q.coeffs.items():
-            if exact:
-                bound = None
-                if i <= 0 and i % 2 == 0:
-                    bound = -i // 2
-                nil = ring.delta_nilpotency(g)
-                if nil is not None:
-                    bound = nil - 1 if bound is None else min(bound, nil - 1)
-                if bound is None:
-                    raise OrderUnresolvable(
-                        "product of exact series is an infinite series; "
-                        "truncate an operand to a finite order first"
-                    )
-            else:
-                # largest u with i + j + 2u < target
-                bound = (target - i - j - 1) // 2
+    for i, a in left.items():
+        for j, b in right.items():
+            if exact and not (i <= 0 and i % 2 == 0 or ring.deriv_terminates(b[0])):
+                raise OrderUnresolvable(
+                    "product of exact series is an infinite series; "
+                    "truncate an operand to a finite order first"
+                )
             u = 0
-            while u <= bound:
-                c = comm_coeff_c(i, u)
-                if c == 0 and u > 0:
-                    break  # a zero factor stays in all later products
-                moved = delta_pow(j, u)
-                if ring.is_zero(moved):
+            while exact or i + j + 2 * u < target:
+                if len(a) == u:
+                    a.append(a[-1] * Fraction(-(i + 2 * u - 2), 2 * u))
+                if a[u].is_zero():
                     break
-                if c != 0:
-                    terms.setdefault(i + j + 2 * u, []).append((f, c, moved))
+                if len(b) == u:
+                    b.append(b[-1].deriv())
+                if b[u].is_zero():
+                    break
+                terms.setdefault(i + j + 2 * u, []).append((a[u], b[u]))
                 u += 1
-    out = {n: ring.sum(f * c * moved for f, c, moved in ts) for n, ts in terms.items()}
+    out = {n: ring.sum(x * y for x, y in ts) for n, ts in terms.items()}
     return PDSeries(ring, out, EXACT if exact else int(target))
 
 
@@ -317,7 +310,7 @@ def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
     w = v // 2
 
     if q.order is None and order is None:
-        if len(q.coeffs) == 1 and ring.is_zero(ring.delta(e)):
+        if len(q.coeffs) == 1 and e.deriv().is_zero():
             return PDSeries.monomial(ring, e, w)
         raise OrderUnresolvable(
             "square root of an exact series is infinite; pass a result order"
@@ -333,7 +326,7 @@ def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
     two_e_inv = ring.inv(e + e)
     for n in range(2 * w + 1, work):
         need = q.coeff(n) - square.coeff(n)
-        if ring.is_zero(need):
+        if need.is_zero():
             continue
         t = PDSeries.monomial(ring, two_e_inv * need, n - w, result_order)
         square = PDSeries.sum(ring, (square, series_mul(z, t), series_mul(t, z), series_mul(t, t)))

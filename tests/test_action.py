@@ -18,8 +18,10 @@ from pdo.action import (
 )
 from pdo.coeffs import omega
 from pdo.errors import OrderUnresolvable
+from pdo.graded import GradedRingSpec
+from pdo.lift import WeightedFamily
 from pdo.ratfunc import GMatrix, RatFunc
-from pdo.rings import QZ
+from pdo.rings import QZ, GradedRing
 from pdo.series import PDSeries, series_inverse, series_mul, split_even_odd
 
 z = RatFunc.z()
@@ -34,7 +36,41 @@ def test_act_y_power_result_is_read_only():
     got = act_y_power(1, GMatrix(1, 1, 1, 2), 5)
     with pytest.raises(TypeError):
         got.coeffs[1] = RatFunc.const(7)
-    assert act_y_power(1, GMatrix(1, 1, 1, 2), 5).coeff(1) == 1 / (z + 2)
+    for slot in ("ring", "coeffs", "order"):
+        with pytest.raises(AttributeError):
+            setattr(got, slot, getattr(got, slot))
+        with pytest.raises(AttributeError):
+            delattr(got, slot)
+    again = act_y_power(1, GMatrix(1, 1, 1, 2), 5)
+    assert again.order == 5 and again.coeff(1) == 1 / (z + 2)
+
+
+_spec = GradedRingSpec([("chi", 2, True), ("xi", 1, True)])
+_chi, _xi = _spec.gen("chi"), _spec.gen("xi")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        (z**2 + 3) / (2 * z - 1),
+        _chi**-1 * _spec.gen("xi", 1) + F(1, 2),
+        GMatrix(1, 1, 1, 2),
+        WeightedFamily(GradedRing(_spec), {2: _chi, 3: _chi * _xi - _spec.gen("xi", 1)}),
+        act_y_power(1, GMatrix(1, 1, 1, 2), 5),
+        PDSeries(GradedRing(_spec), {-1: _xi**-1, 2: _chi * _spec.gen("chi", 2)}),
+    ],
+    ids=["RatFunc", "GradedElem", "GMatrix", "WeightedFamily", "PDSeries-qz", "PDSeries-graded"],
+)
+@pytest.mark.parametrize(
+    "roundtrip",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_values_copy_and_pickle(value, roundtrip):
+    # immutable values rebuild through a constructor, never by setting slots
+    back = roundtrip(value)
+    assert type(back) is type(value)
+    assert back == value and hash(back) == hash(value)
 
 
 def test_act_y_power_coefficients_are_immutable():

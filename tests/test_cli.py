@@ -216,6 +216,8 @@ QZ_ONE = '{"num":["1/1"],"den":["1/1"]}'
         (["star", '{"terms":[{"c":"1/1","mono":5}]}', '{"terms":[]}', "--order", "3"], "f.terms[0].mono"),
         (["star", '{"terms":[{"c":true,"mono":[]}]}', '{"terms":[]}', "--order", "3"], "f.terms[0].c"),
         (["rc", '{"terms":[]}', '{"terms":{}}', "--k", "1", "--l", "1", "--n", "0", "--ring", "graded"], "g.terms"),
+        (["verify", "RHO", "--pmax", "3"], "--pmax"),
+        (["verify", "WZ1", "--seed", "2"], "--seed"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, field):

@@ -2,12 +2,14 @@
 ``GradedElem.sum``, ``ring.sum``, ``PDSeries.sum``) and of the series
 product built on it, against independent references."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdo.errors import OrderUnresolvable
 from pdo.graded import GradedElem, GradedRingSpec, Generator
 from pdo.ratfunc import RatFunc, _iadd, _imul, _iscale
 from pdo.rings import QZ, GradedRing
@@ -122,24 +124,33 @@ def test_empty_single_and_cancelling_sums():
     assert PDSeries.sum(QZ, [p, p], 2) == PDSeries(QZ, {-1: 2 * f}, 2)
 
 
-def naive_mul(p: PDSeries, q: PDSeries) -> PDSeries:
+def naive_mul(p: PDSeries, q: PDSeries, cap: int = 12) -> PDSeries | None:
     """y^i f * y^j g = sum_u c_i(u) f delta^u(g) y^(i+j+2u), term by term,
-    with c_i(u) = prod_{t<u} (i + 2t) / u! and delta = -(1/2) d/dz."""
+    with c_i(u) = prod_{t<u} (i + 2t) / u! and delta = -(1/2) d/dz.
+
+    For EXACT operands each sum runs to u = cap, and None (an infinite
+    product) is returned when a term at u = cap does not vanish; the
+    operands below terminate well before cap."""
     ring = p.ring
-    target = min(p.order + q.valuation, q.order + p.valuation)
+    order = lambda s: math.inf if s.order is None else s.order
+    target = min(order(p) + q.valuation, order(q) + p.valuation)
+    exact = target == math.inf
     out: dict = {}
     for i, f in p.coeffs.items():
         for j, g in q.coeffs.items():
             u, moved = 0, g
-            while i + j + 2 * u < target:
+            while u <= cap if exact else i + j + 2 * u < target:
                 c = F(1)
                 for t in range(u):
                     c *= F(i + 2 * t, t + 1)
                 n = i + j + 2 * u
-                out[n] = out.get(n, ring.zero()) + f * c * moved
+                term = f * c * moved
+                out[n] = out.get(n, ring.zero()) + term
                 moved = moved.deriv() * F(-1, 2)
                 u += 1
-    return PDSeries(ring, out, target)
+            if exact and not term.is_zero():
+                return None
+    return PDSeries(ring, out, None if exact else target)
 
 
 @st.composite
@@ -171,3 +182,62 @@ def test_series_mul_matches_naive_product_graded(seed):
         return
     assert series_mul(p, q) == naive_mul(p, q)
 
+
+
+polys = st.lists(st.fractions(-4, 4, max_denominator=3), min_size=1, max_size=4).map(RatFunc)
+
+
+def exact_series(draw, ring, exps, coeffs) -> PDSeries:
+    return PDSeries(ring, {n: draw(coeffs) for n in draw(st.sets(exps, min_size=1, max_size=3))})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_series_mul_matches_naive_product_exact(data):
+    # an exact product is finite when the left exponents are even and <= 0,
+    # or when every right coefficient is a polynomial
+    if data.draw(st.booleans(), label="even left"):
+        p = exact_series(data.draw, QZ, st.sampled_from((-4, -2, 0)), ratfuncs())
+        q = exact_series(data.draw, QZ, st.integers(-3, 3), ratfuncs())
+    else:
+        p = exact_series(data.draw, QZ, st.integers(-3, 3), ratfuncs())
+        q = exact_series(data.draw, QZ, st.integers(-3, 3), polys)
+    got = series_mul(p, q)
+    assert got.is_exact() and got == naive_mul(p, q)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(-3, 3).filter(lambda i: i > 0 or i % 2),
+    st.integers(-3, 3),
+    ratfuncs().filter(lambda g: not g.is_polynomial()),
+)
+def test_exact_product_refused_when_infinite(i, j, g):
+    p = PDSeries(QZ, {i: RatFunc.z(), -2: RatFunc.const(1)})
+    q = PDSeries(QZ, {j: g, j + 1: RatFunc.z()})
+    assert naive_mul(p, q) is None
+    with pytest.raises(OrderUnresolvable):
+        series_mul(p, q)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_series_mul_matches_naive_product_graded_exact(seed):
+    rnd = random.Random(seed)
+
+    def exact(exps, coeff):
+        return PDSeries(GR, {n: coeff() for n in exps if rnd.random() < 0.7})
+
+    anything = lambda: rand_graded(rnd)
+    scalar = lambda: spec.scalar(F(rnd.randint(-3, 3), rnd.randint(1, 3)))
+    # even nonpositive left exponents, then graded scalars on the right
+    for p, q in (
+        (exact((-4, -2, 0), anything), exact(range(-2, 4), anything)),
+        (exact(range(-2, 4), anything), exact(range(-2, 4), scalar)),
+    ):
+        got = series_mul(p, q)
+        assert got.is_exact() and got == naive_mul(p, q)
+    p = PDSeries(GR, {1 + 2 * rnd.randint(-2, 1): scalar() * spec.gen("xi") + spec.gen("F")})
+    q = PDSeries(GR, {rnd.randint(-2, 3): spec.gen("chi") + scalar()})
+    assert naive_mul(p, q) is None
+    with pytest.raises(OrderUnresolvable):
+        series_mul(p, q)
