@@ -3,10 +3,11 @@
 A RatFunc is stored as scalar * N(z)/D(z) with N, D primitive integer
 polynomials (ascending coefficients, positive leading coefficient, coprime);
 the scalar is an exact Fraction.  This keeps every gcd inside Z[z], where
-primitive pseudo-remainder sequences avoid the coefficient blow-up of
-fraction-field Euclid.  The public ``num``/``den`` views present the
-equivalent canonical reduced form with monic denominator, so equality is
-structural.
+the heuristic gcd GCDHEU reduces it to one integer gcd of two evaluations;
+a divisibility test certifies its answer, so canonical forms stay exact,
+and the primitive pseudo-remainder sequence remains as its fallback.  The
+public ``num``/``den`` views present the equivalent canonical reduced form
+with monic denominator, so equality is structural.
 
 GMatrix holds a determinant-one matrix acting on Q(z) by substitution
 z -> (az+b)/(cz+d).
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _intgcd
+from math import isqrt
 from math import lcm as _intlcm
 from typing import Iterable, Sequence, Union
 
@@ -113,7 +115,7 @@ def _ipseudo_rem(p: IntPoly, q: IntPoly) -> IntPoly:
     return _itrim(rem)
 
 
-def _igcd(p: IntPoly, q: IntPoly) -> IntPoly:
+def _iprs_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Primitive gcd in Z[z] via the primitive pseudo-remainder sequence."""
     a, b = _iprim(p), _iprim(q)
     while b:
@@ -121,28 +123,76 @@ def _igcd(p: IntPoly, q: IntPoly) -> IntPoly:
     return a
 
 
-def _iexact_div(p: IntPoly, g: IntPoly) -> IntPoly:
-    """Exact quotient p/g (caller guarantees divisibility)."""
+def _ieval(p: IntPoly, x: int) -> int:
+    v = 0
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
+def _iinterp(h: int, x: int) -> IntPoly:
+    """The polynomial whose coefficients are the symmetric base-x digits of h."""
+    out = []
+    half = x // 2
+    while h:
+        h, c = divmod(h, x)
+        if c > half:
+            c -= x
+            h += 1
+        out.append(c)
+    return tuple(out)
+
+
+def _igcd(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly, IntPoly]:
+    """(g, p/g, q/g) with g the gcd in Z[z] of p and q, which must be nonzero,
+    primitive and of positive leading coefficient.
+
+    GCDHEU (Char, Geddes & Gonnet 1989): the integer gcd of p(xi) and q(xi),
+    read back as the polynomial h of its symmetric base-xi digits, has as its
+    primitive part a candidate g, kept only if it divides p and q exactly;
+    those divisions are the cofactors.  With xi >= 2 min(|p|, |q|) + 2 (max
+    norms) a kept g is the gcd G: g divides G, and (G/g)(xi) divides the
+    content of h, which is at most xi/2.  A nonconstant divisor of p has its
+    roots within |p| + 1 of zero, so its value at xi exceeds xi/2 once
+    xi >= 2|p| + 2, and the same holds for q; as G/g divides both, G/g = 1.
+    A rejected candidate moves xi up to about 2.7 xi^(5/4); after six points
+    the pseudo-remainder sequence decides.
+    """
+    if p == q:
+        return p, (1,), (1,)
+    if len(p) == 1 or len(q) == 1:
+        return (1,), p, q
+    xi = 2 * min(max(map(abs, p)), max(map(abs, q))) + 2
+    for _ in range(6):
+        vp, vq = _ieval(p, xi), _ieval(q, xi)
+        if vp and vq:
+            g = _iprim(_iinterp(_intgcd(vp, vq), xi))
+            cp = _idiv(p, g)
+            cq = None if cp is None else _idiv(q, g)
+            if cq is not None:
+                return g, cp, cq
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    g = _iprs_gcd(p, q)
+    return g, _idiv(p, g), _idiv(q, g)
+
+
+def _idiv(p: IntPoly, g: IntPoly) -> IntPoly | None:
+    """The quotient p/g if g divides p exactly in Z[z], else None."""
     if g == (1,):
         return p
     rem = list(p)
     out = [0] * (len(p) - len(g) + 1)
     lg = g[-1]
-    while rem and len(rem) >= len(g):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - len(g)
+    for shift in range(len(out) - 1, -1, -1):
         c, r = divmod(rem[-1], lg)
         if r:
-            raise ArithmeticError("inexact polynomial division")
+            return None
         out[shift] = c
-        for i, gc in enumerate(g):
-            rem[shift + i] -= c * gc
+        if c:
+            for i, gc in enumerate(g):
+                rem[shift + i] -= c * gc
         rem.pop()
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return _itrim(out)
+    return None if any(rem) else tuple(out)
 
 
 def _clear_denoms(coeffs: Sequence[Scalar]) -> tuple[IntPoly, int]:
@@ -238,8 +288,7 @@ class RatFunc(Frozen):
             if t.sc == 0:
                 continue
             last, count = t, count + 1
-            g = den if den in ((1,), t.denp) else _igcd(den, t.denp)
-            lift, cof = _iexact_div(t.denp, g), _iexact_div(den, g)
+            _, cof, lift = _igcd(den, t.denp)
             den = _imul(den, lift)
             L2 = _intlcm(L, t.sc.denominator)
             num = _iadd(
@@ -274,12 +323,8 @@ class RatFunc(Frozen):
         if self.sc == 0 or other.sc == 0:
             return RatFunc.const(0)
         # cross-reduction keeps the parts coprime without a full gcd
-        g1 = _igcd(self.nump, other.denp)
-        g2 = _igcd(other.nump, self.denp)
-        n1 = _iexact_div(self.nump, g1) if g1 != (1,) else self.nump
-        d2 = _iexact_div(other.denp, g1) if g1 != (1,) else other.denp
-        n2 = _iexact_div(other.nump, g2) if g2 != (1,) else other.nump
-        d1 = _iexact_div(self.denp, g2) if g2 != (1,) else self.denp
+        _, n1, d2 = _igcd(self.nump, other.denp)
+        _, n2, d1 = _igcd(other.nump, self.denp)
         return RatFunc._raw(self.sc * other.sc, _imul(n1, n2), _imul(d1, d2))
 
     __rmul__ = __mul__
@@ -364,10 +409,7 @@ def _reduce(sc: Fraction, n: IntPoly, d: IntPoly) -> tuple[Fraction, IntPoly, In
         cd = -cd
     n = tuple(c // cn for c in n)
     d = tuple(c // cd for c in d)
-    g = _igcd(n, d)
-    if g != (1,):
-        n = _iexact_div(n, g)
-        d = _iexact_div(d, g)
+    _, n, d = _igcd(n, d)
     return sc * Fraction(cn, cd), n, d
 
 

@@ -114,9 +114,12 @@ class GradedRing:
 
 
 def ring_of(f, ring=None):
-    """`ring` when given, else the handle of the domain `f` belongs to."""
+    """`ring` when given, else the handle of the domain `f` belongs to;
+    plain scalars belong to Q(z)."""
     if ring is not None:
         return ring
-    if isinstance(f, RatFunc):
+    if isinstance(f, (RatFunc, int, Fraction)):
         return QZ
-    return GradedRing(f.spec)
+    if isinstance(f, GradedElem):
+        return GradedRing(f.spec)
+    raise TypeError(f"no coefficient ring for a value of type {type(f).__name__}")

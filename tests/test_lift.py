@@ -25,7 +25,7 @@ from pdo.lift import (
     psi_neg_via_xi,
 )
 from pdo.ratfunc import GMatrix, RatFunc
-from pdo.rings import QZ, GradedRing
+from pdo.rings import QZ, GradedRing, ring_of
 from pdo.series import PDSeries, series_mul
 
 z = RatFunc.z()
@@ -61,6 +61,16 @@ def test_psi_negative_even_polynomial():
 def test_psi_zero_is_constant_embedding():
     p0 = psi(0, 1 / (z + 2))
     assert p0.is_exact() and p0.coeffs == {0: 1 / (z + 2)}
+
+
+def test_scalar_input_lifts_over_qz():
+    # a plain int or Fraction is a constant of Q(z) when no ring is given
+    assert psi(0, 3) == PDSeries(QZ, {0: RatFunc.const(3)})
+    assert psi(2, F(1, 2), 6) == PDSeries(QZ, {2: RatFunc.const(F(1, 2))}, 6)
+    assert psi_neg_via_xi(1, 3, 1, 4) == PDSeries(QZ, {-1: RatFunc.const(3)}, 4)
+    assert ring_of(F(1, 3)) == QZ and ring_of(xi) == GR
+    with pytest.raises(TypeError, match="float"):
+        psi(0, 1.5)
 
 
 def test_psi_requires_order_for_positive_weight():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pdo.errors import DivisionByZero
-from pdo.ratfunc import GMatrix, RatFunc, _imul, mobius_compose
+from pdo import ratfunc
+from pdo.ratfunc import GMatrix, RatFunc, _igcd, _imul, _iprim, _iprs_gcd, _itrim, mobius_compose
 
 z = RatFunc.z()
 T = GMatrix(1, 1, 0, 1)
@@ -215,3 +216,68 @@ def test_mobius_compose_matches_sympy(f, g):
     zs = sympy.Symbol("z")
     image = (sympy.Rational(g.a) * zs + sympy.Rational(g.b)) / (sympy.Rational(g.c) * zs + sympy.Rational(g.d))
     assert_matches(mobius_compose(f, g), to_sympy(f).subs(zs, image))
+
+
+# -- the Z[z] gcd against the pseudo-remainder sequence and sympy.gcd --
+
+
+def int_polys(max_deg: int):
+    coeff = st.integers(-(2**100), 2**100)
+    return st.lists(coeff, min_size=1, max_size=max_deg + 1).filter(any).map(lambda c: _itrim(list(c)))
+
+
+@st.composite
+def gcd_inputs(draw):
+    """Primitive p, q with a planted common factor: degree up to 8, and
+    coefficients up to about 200 bits; the factor may be 1 and either input
+    may be a constant."""
+    common = draw(st.one_of(st.just((1,)), int_polys(3)))
+    p = _iprim(_imul(common, draw(int_polys(5))))
+    q = _iprim(_imul(common, draw(int_polys(5))))
+    return p, q
+
+
+def sympy_gcd(p, q):
+    sympy = pytest.importorskip("sympy")
+    zs = sympy.Symbol("z")
+    g = sympy.gcd(*(sympy.Poly(list(reversed(a)), zs) for a in (p, q)))
+    return _iprim(tuple(int(c) for c in reversed(g.all_coeffs())))
+
+
+def assert_gcd(p, q) -> None:
+    g, cp, cq = _igcd(p, q)
+    assert g == _iprs_gcd(p, q) == sympy_gcd(p, q)
+    assert _imul(g, cp) == p and _imul(g, cq) == q
+
+
+@settings(max_examples=60, deadline=None)
+@given(gcd_inputs())
+def test_igcd_matches_prs_and_sympy(case):
+    assert_gcd(*case)
+
+
+@pytest.mark.parametrize(
+    "p, q, xi, candidate, expected",
+    [
+        ((-2, 1, 1, 2, 2), (2, 1, 2), 6, (2, 1), (1,)),
+        ((-2, -15, 8), (-8, -63, 8), 32, (6, 16, 1), (1, 8)),
+    ],
+)
+def test_igcd_rejects_a_wrong_first_candidate(p, q, xi, candidate, expected):
+    # the first evaluation point gives a candidate that is not the gcd; the
+    # divisibility test must reject it
+    assert 2 * min(max(map(abs, p)), max(map(abs, q))) + 2 == xi
+    h = gcd(ratfunc._ieval(p, xi), ratfunc._ieval(q, xi))
+    assert _iprim(ratfunc._iinterp(h, xi)) == candidate != expected
+    assert _igcd(p, q)[0] == expected
+    assert_gcd(p, q)
+
+
+def test_igcd_falls_back_to_prs(monkeypatch):
+    # every evaluation reads 0, so no point is usable and the PRS decides
+    monkeypatch.setattr(ratfunc, "_ieval", lambda p, x: 0)
+    p = _imul((3, 1), (1, 2, 5))
+    q = _imul((3, 1), (7, 0, 0, 2))
+    assert _igcd(p, q) == ((3, 1), (1, 2, 5), (7, 0, 0, 2))
+    for p, q in (((-2, 1, 1, 2, 2), (2, 1, 2)), ((-2, -15, 8), (-8, -63, 8))):
+        assert_gcd(p, q)
