@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -33,8 +34,13 @@ class Generator:
     invertible: bool = False
 
 
-class GradedRingSpec:
-    """An ordered list of named weighted generators."""
+class GradedRingSpec(Frozen):
+    """An ordered list of named weighted generators.
+
+    A spec is immutable: elements read their generators' weights through
+    it, and it is part of their hash."""
+
+    __slots__ = ("generators", "_index")
 
     def __init__(self, generators: Iterable[Generator | tuple]):
         gens = tuple(
@@ -43,8 +49,11 @@ class GradedRingSpec:
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
-        self.generators = gens
-        self._index = {g.name: i for i, g in enumerate(gens)}
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_index", MappingProxyType({g.name: i for i, g in enumerate(gens)}))
+
+    def __reduce__(self):
+        return GradedRingSpec, (self.generators,)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedRingSpec):
@@ -59,14 +68,14 @@ class GradedRingSpec:
 
     def gen(self, name: str, deriv: int = 0) -> "GradedElem":
         idx = self._index[name]
-        return GradedElem(self, {((idx, deriv, 1),): Fraction(1)})
+        return GradedElem(self, {((idx, deriv, 1),): 1})
 
     def scalar(self, c: Scalar) -> "GradedElem":
         c = Fraction(c)
-        return GradedElem(self, {(): c} if c else {})
+        return GradedElem._raw(self, {(): c.numerator}, c.denominator)
 
     def zero(self) -> "GradedElem":
-        return GradedElem(self, {})
+        return GradedElem._raw(self, {}, 1)
 
     def one(self) -> "GradedElem":
         return self.scalar(1)
@@ -130,23 +139,35 @@ def _coerce(spec: GradedRingSpec, x: "GradedElem | Scalar") -> "GradedElem":
     return spec.scalar(x)
 
 
-def _set_slots(obj: "GradedElem", spec: GradedRingSpec, terms: dict[Mono, Fraction]) -> None:
+def _set_slots(obj: "GradedElem", spec: GradedRingSpec, num: dict[Mono, int], den: int) -> "GradedElem":
+    """Store `num / den` (den > 0) in lowest terms: zero numerators are
+    dropped and the gcd of `den` and all numerators is divided out, so the
+    stored form is unique and `==` is structural."""
+    num = {m: c for m, c in num.items() if c}
+    g = gcd(den, *num.values())
+    if g != 1:
+        den //= g
+        num = {m: c // g for m, c in num.items()}
     object.__setattr__(obj, "spec", spec)
-    object.__setattr__(obj, "terms", MappingProxyType(terms))
+    object.__setattr__(obj, "_num", num)
+    object.__setattr__(obj, "_den", den)
+    return obj
 
 
 class GradedElem(Frozen):
     """Finite Q-linear combination of monomials in generators and derivatives.
 
-    Values are immutable: ``terms`` is a read-only mapping.  The public
+    An element is stored as integer numerators `_num` over one positive
+    denominator `_den`, in lowest terms; ``terms`` is the read-only view of
+    its `Fraction` coefficients.  Values are immutable.  The public
     constructor normalises and validates its input; sums, products, scalings
-    and derivatives of canonical values are canonical, so they build their
-    results through ``_raw`` without a re-check.
+    and derivatives of canonical values have canonical monomials, so they
+    build their results through ``_raw`` without a re-check.
     """
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "_num", "_den")
 
-    def __init__(self, spec: GradedRingSpec, terms: Mapping[Mono, Fraction]):
+    def __init__(self, spec: GradedRingSpec, terms: Mapping[Mono, Scalar]):
         clean: dict[Mono, Fraction] = {}
         for mono, c in terms.items():
             c = Fraction(c)
@@ -154,47 +175,61 @@ class GradedElem(Frozen):
                 continue
             mono = _normalize(mono)
             spec._check_mono(mono)
-            clean[mono] = clean.get(mono, Fraction(0)) + c
-        _set_slots(self, spec, {m: c for m, c in clean.items() if c != 0})
+            clean[mono] = clean.get(mono, 0) + c
+        den = lcm(*(c.denominator for c in clean.values()))
+        _set_slots(self, spec, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}, den)
 
     @classmethod
-    def _raw(cls, spec: GradedRingSpec, terms: dict[Mono, Fraction]) -> "GradedElem":
-        """Trusted constructor: `terms` is already canonical (normalised,
-        valid monomials, nonzero Fraction coefficients) and owned by the
-        result."""
-        obj = object.__new__(cls)
-        _set_slots(obj, spec, terms)
-        return obj
+    def _raw(cls, spec: GradedRingSpec, num: dict[Mono, int], den: int) -> "GradedElem":
+        """Trusted constructor: the monomials of `num` are canonical and
+        valid, and `den > 0`; the fraction is reduced here."""
+        return _set_slots(object.__new__(cls), spec, num, den)
 
     def __reduce__(self):
-        return GradedElem._raw, (self.spec, dict(self.terms))
+        return GradedElem._raw, (self.spec, dict(self._num), self._den)
+
+    @property
+    def terms(self) -> Mapping[Mono, Fraction]:
+        """The nonzero coefficients, monomial to `Fraction`, read-only."""
+        d = self._den
+        return MappingProxyType({m: Fraction(c, d) for m, c in self._num.items()})
 
     @classmethod
     def sum(cls, spec: GradedRingSpec, terms: Iterable["GradedElem | Scalar"]) -> "GradedElem":
-        """The sum of `terms` in the ring `spec`: the term maps are merged and
-        zeros dropped once, with no re-validation of canonical monomials."""
-        out: dict[Mono, Fraction] = {}
+        """The sum of `terms` in the ring `spec`, in one pass: numerators are
+        added over a running common denominator, which grows (rescaling what
+        is summed so far) only when a term's denominator does not divide it."""
+        out: dict[Mono, int] = {}
+        den = 1
         for t in terms:
-            for m, c in _coerce(spec, t).terms.items():
+            t = _coerce(spec, t)
+            d = t._den
+            if den % d:
+                k = d // gcd(den, d)
+                den *= k
+                for m in out:
+                    out[m] *= k
+            k = den // d
+            for m, c in t._num.items():
                 prev = out.get(m)
-                out[m] = c if prev is None else prev + c
-        return cls._raw(spec, {m: c for m, c in out.items() if c})
+                out[m] = c * k if prev is None else prev + c * k
+        return cls._raw(spec, out, den)
 
     # -- predicates --
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_scalar(self) -> bool:
-        return all(m == () for m in self.terms)
+        return all(m == () for m in self._num)
 
     def scalar_value(self) -> Fraction:
         if not self.is_scalar():
             raise ValueError("not a scalar")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self._num.get((), 0), self._den)
 
     def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(_normalize(mono), Fraction(0))
+        return Fraction(self._num.get(_normalize(mono), 0), self._den)
 
     # -- arithmetic --
 
@@ -204,7 +239,7 @@ class GradedElem(Frozen):
     __radd__ = __add__
 
     def __neg__(self) -> "GradedElem":
-        return GradedElem._raw(self.spec, {m: -c for m, c in self.terms.items()})
+        return GradedElem._raw(self.spec, {m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "GradedElem | Scalar") -> "GradedElem":
         return self + (-_coerce(self.spec, other))
@@ -214,18 +249,17 @@ class GradedElem(Frozen):
 
     def __mul__(self, other: "GradedElem | Scalar") -> "GradedElem":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return GradedElem._raw(self.spec, {})
-            return GradedElem._raw(self.spec, {m: c * other for m, c in self.terms.items()})
+            p, q = other.numerator, other.denominator
+            return GradedElem._raw(self.spec, {m: c * p for m, c in self._num.items()}, self._den * q)
         other = _coerce(self.spec, other)
-        out: dict[Mono, Fraction] = {}
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
+        out: dict[Mono, int] = {}
+        right = other._num.items()
+        for m1, c1 in self._num.items():
             for m2, c2 in right:
                 m = _mono_mul(m1, m2)
                 c = out.get(m)
                 out[m] = c1 * c2 if c is None else c + c1 * c2
-        return GradedElem._raw(self.spec, {m: c for m, c in out.items() if c})
+        return GradedElem._raw(self.spec, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -246,24 +280,24 @@ class GradedElem(Frozen):
             other = self.spec.scalar(other)
         if not isinstance(other, GradedElem):
             return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
+        return self.spec == other.spec and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         # scalars compare equal to their Fraction value, so they hash alike
         if self.is_scalar():
             return hash(self.scalar_value())
-        return hash((self.spec, tuple(sorted(self.terms.items()))))
+        return hash((self.spec, self._den, tuple(sorted(self._num.items()))))
 
     def inv_unit(self) -> "GradedElem":
         """Inverse of a unit monomial c * prod g_i^{e_i} (derivative order 0)."""
-        if len(self.terms) != 1:
+        if len(self._num) != 1:
             raise NotAUnit("units are single monomial terms")
-        (mono, c), = self.terms.items()
+        (mono, c), = self._num.items()
         for g, j, e in mono:
             if j != 0 or not self.spec.generators[g].invertible:
                 raise NotAUnit(f"factor {(g, j, e)} is not invertible")
         inv_mono = tuple((g, j, -e) for g, j, e in mono)
-        return GradedElem(self.spec, {inv_mono: Fraction(1) / c})
+        return GradedElem._raw(self.spec, {inv_mono: self._den if c > 0 else -self._den}, abs(c))
 
     def deriv(self) -> "GradedElem":
         """Formal derivative: sends g^(j) to g^(j+1) by the Leibniz rule.
@@ -272,8 +306,8 @@ class GradedElem(Frozen):
         folded into a (g, j+1, .) right after it; exponents at j+1 >= 1 are
         positive, so the fold never cancels.
         """
-        out: dict[Mono, Fraction] = {}
-        for mono, c in self.terms.items():
+        out: dict[Mono, int] = {}
+        for mono, c in self._num.items():
             for pos, (g, j, e) in enumerate(mono):
                 head = mono[:pos] if e == 1 else (*mono[:pos], (g, j, e - 1))
                 tail = mono[pos + 1 :]
@@ -283,7 +317,7 @@ class GradedElem(Frozen):
                     bumped = (*head, (g, j + 1, 1), *tail)
                 prev = out.get(bumped)
                 out[bumped] = c * e if prev is None else prev + c * e
-        return GradedElem._raw(self.spec, {m: c for m, c in out.items() if c})
+        return GradedElem._raw(self.spec, out, self._den)
 
     def deriv_n(self, n: int) -> "GradedElem":
         f = self
@@ -295,7 +329,7 @@ class GradedElem(Frozen):
         """Common weight of all terms; zero input and mixed weights are errors."""
         if self.is_zero():
             raise ZeroElement("weight of the zero element is undefined")
-        weights = {self.spec.mono_weight(m) for m in self.terms}
+        weights = {self.spec.mono_weight(m) for m in self._num}
         if len(weights) != 1:
             raise NotHomogeneous(f"mixed weights {sorted(weights)}")
         return weights.pop()
@@ -303,7 +337,7 @@ class GradedElem(Frozen):
     def is_homogeneous(self, w: int | None = None) -> bool:
         if self.is_zero():
             return True
-        weights = {self.spec.mono_weight(m) for m in self.terms}
+        weights = {self.spec.mono_weight(m) for m in self._num}
         if len(weights) != 1:
             return False
         return w is None or weights == {w}

@@ -183,7 +183,7 @@ def rewrite_in_u(q: PDSeries, order: int | None = None) -> list[GradedElem]:
     bound = q.order if q.order is not None else order
     if bound is None:
         raise OrderUnresolvable("rewriting in u needs a finite working order")
-    u = u_power(1, bound, ring)
+    u = u_power(1, max(bound, 3), ring)  # u = chi y^2 + O(y^3) at least, so a unit
     uinv = series_inverse(u)
     out: list[GradedElem] = []
     current = q.truncate(bound)

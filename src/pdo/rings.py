@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import NotAUnit, RingMismatch
+from .frozen import Frozen
 from .graded import GradedElem, GradedRingSpec
 from .ratfunc import RatFunc
 
@@ -62,13 +63,17 @@ class QzRing:
 QZ = QzRing()
 
 
-class GradedRing:
+class GradedRing(Frozen):
     """A free differential graded ring with its formal derivative."""
 
+    __slots__ = ("spec",)
     is_graded = True
 
     def __init__(self, spec: GradedRingSpec):
-        self.spec = spec
+        object.__setattr__(self, "spec", spec)
+
+    def __reduce__(self):
+        return GradedRing, (self.spec,)
 
     def zero(self) -> GradedElem:
         return self.spec.zero()
@@ -87,8 +92,6 @@ class GradedRing:
         return GradedElem.sum(self.spec, terms)
 
     def is_unit(self, f: GradedElem) -> bool:
-        if len(f.terms) != 1:
-            return False
         try:
             f.inv_unit()
             return True

@@ -1,10 +1,14 @@
+import copy
+import pickle
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdo.errors import NotAUnit, NotHomogeneous, ZeroElement
 from pdo.graded import GradedElem, GradedRingSpec, Generator, _normalize
+from pdo.rings import GradedRing
 
 spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True), Generator("F", 3)])
 chi = spec.gen("chi")
@@ -181,3 +185,79 @@ def test_fast_paths_cancel():
     assert_same_canonical(e.deriv(), chi2 * chi2 - chi * spec.gen("chi", 4))
     # the bumped factor folds into the next derivative order
     assert_same_canonical((chi**-2 * chi1**3).deriv_n(2), ref_deriv(ref_deriv(chi**-2 * chi1**3)))
+
+
+def test_spec_and_ring_are_immutable():
+    # elements read their generators' weights through the spec, and hash it
+    s = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True)])
+    ring = GradedRing(s)
+    c, x = s.gen("chi"), s.gen("xi")
+    key = c * x
+    table = {key: 1}
+    for obj, slot, value in ((s, "generators", s.generators[::-1]), (s, "_index", {}), (ring, "spec", spec)):
+        with pytest.raises(AttributeError):
+            setattr(obj, slot, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, slot)
+    with pytest.raises(TypeError):
+        s._index["chi"] = 1
+    assert c.weight() == 2 and s.gen("chi") == c and table[c * x] == 1
+    for value in (s, ring):
+        for roundtrip in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            back = roundtrip(value)
+            assert type(back) is type(value)
+            assert back == value and hash(back) == hash(value)
+    assert pickle.loads(pickle.dumps(s)).gen("xi") == x
+
+
+# -- integer numerators over one denominator --
+
+
+def assert_stored_canonical(e: GradedElem) -> None:
+    """The stored form is unique: positive denominator, nonzero integer
+    numerators, no common factor; the Fraction view rebuilds the value."""
+    assert type(e._den) is int and e._den > 0
+    assert all(type(c) is int and c != 0 for c in e._num.values())
+    assert gcd(e._den, *e._num.values()) == 1
+    assert all(type(c) is F and c != 0 for c in e.terms.values())
+    back = GradedElem(spec, e.terms)
+    assert back == e and hash(back) == hash(e)
+
+
+@st.composite
+def units(draw):
+    c = draw(st.fractions(-4, 4, max_denominator=6).filter(bool))
+    return c * chi ** draw(st.integers(-3, 3)) * xi ** draw(st.integers(-3, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(elems, elems, elems, scalars, st.integers(-6, 6), st.integers(0, 3), units())
+def test_storage_is_canonical(a, b, c, s, k, n, u):
+    merged = {}
+    for t in (a, b, c, spec.scalar(s)):
+        for m, x in t.terms.items():
+            merged[m] = merged.get(m, 0) + x
+    total = GradedElem.sum(spec, [a, b, c, s])
+    assert total == GradedElem(spec, merged)
+    results = [a, total, a + b, a - b, b - a, -a, a * b, a * s, s * a, a * k, k * a, F(s) * a]
+    results += [a.deriv_n(n), (a * b).deriv_n(n), u.inv_unit(), GradedElem.sum(spec, [a, -a]), spec.scalar(s)]
+    for e in results:
+        assert_stored_canonical(e)
+    assert hash(spec.scalar(s)) == hash(F(s)) and spec.scalar(s) == s
+    assert u * u.inv_unit() == 1
+
+
+def test_sums_over_mixed_denominators():
+    third, sixth = F(1, 3), F(1, 6)
+    # denominators 2, 3 and 6 force the running denominator to grow, then
+    # everything but an integer cancels
+    total = GradedElem.sum(spec, [F(1, 2) * chi, third * chi, F(-5, 6) * chi + F(1, 4), F(3, 4)])
+    assert total == 1 and total._num == {(): 1} and total._den == 1
+    zero = GradedElem.sum(spec, [F(1, 4) * xi, sixth * xi - third, F(-5, 12) * xi, third])
+    assert zero.is_zero() and zero._num == {} and zero._den == 1
+    mixed = GradedElem.sum(spec, [F(1, 4) * chi, sixth * xi, F(3, 4) * chi, F(1, 10)])
+    assert mixed.terms == {((0, 0, 1),): 1, ((1, 0, 1),): sixth, (): F(1, 10)}
+    assert mixed._den == 30 and mixed._num == {((0, 0, 1),): 30, ((1, 0, 1),): 5, (): 3}
+    for e in (total, zero, mixed, F(2, 3) * chi * F(3, 2), (F(1, 2) * chi**2).deriv()):
+        assert_stored_canonical(e)
+    assert (F(1, 2) * chi**2).deriv()._den == 1
