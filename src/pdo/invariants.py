@@ -181,6 +181,8 @@ def rewrite_in_u(q: PDSeries, order: int | None = None) -> list[GradedElem]:
     if not is_invariant(q):
         raise NotInvariant("coefficient weights must equal exponents")
     bound = q.order if q.order is not None else order
+    if bound is not None and order is not None:
+        bound = min(bound, order)
     if bound is None:
         raise OrderUnresolvable("rewriting in u needs a finite working order")
     u = u_power(1, max(bound, 3), ring)  # u = chi y^2 + O(y^3) at least, so a unit

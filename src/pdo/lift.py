@@ -111,23 +111,20 @@ def psi(m: int, f, order: int | None = None, ring=None) -> PDSeries:
     exact = m <= 0 and m % 2 == 0
     if not exact and order is None:
         raise OrderUnresolvable(f"psi at weight {m} is an infinite series; pass an order")
+    # alpha_m(n) = alpha_m(n-1) * -(m+2n-2)(m+2n) / (4n(m+n-1)) from
+    # alpha_m(0) = 1; its first zero, at n = -m/2 for m < 0 and n = 1 for
+    # m = 0, ends the exact lifts, and for m > 0 it never vanishes
     out = {}
-    n = 0
-    deriv = f
-    while True:
-        exp = m + 2 * n
-        if exact:
-            if m < 0 and n >= (-m) // 2:
+    n, a, deriv = 0, Fraction(1), f
+    while exact or m + 2 * n < order:
+        if n:
+            top = -(m + 2 * n - 2) * (m + 2 * n)
+            if top == 0:
                 break
-            if m == 0 and n >= 1:
-                break
-        elif exp >= order:
-            break
-        a = lift_coeff(m, n)
-        if a != 0:
-            out[exp] = a * deriv
+            a *= Fraction(top, 4 * n * (m + n - 1))
+            deriv = deriv.deriv()
+        out[m + 2 * n] = a * deriv
         n += 1
-        deriv = deriv.deriv()
     return PDSeries(ring, out, EXACT if exact else order)
 
 

@@ -70,6 +70,11 @@ def _iscale(k: int, p: IntPoly) -> IntPoly:
     return tuple(k * c for c in p)
 
 
+def _ilin_mul(p: list[int], a: int, b: int) -> list[int]:
+    """p * (az + b), keeping one more coefficient than p even if a is 0."""
+    return [b * x + a * y for x, y in zip(p + [0], [0] + p)]
+
+
 def _ipow(p: IntPoly, n: int) -> IntPoly:
     out: IntPoly = (1,)
     base = p
@@ -85,14 +90,18 @@ def _ideriv(p: IntPoly) -> IntPoly:
     return _itrim([i * c for i, c in enumerate(p)][1:])
 
 
-def _iprim(p: IntPoly) -> IntPoly:
-    """Primitive part with positive leading coefficient; () for zero."""
-    if not p:
-        return ()
+def _isplit(p: IntPoly) -> tuple[int, IntPoly]:
+    """(c, p/c) for nonzero p: c is the content, signed so that the
+    primitive part p/c has a positive leading coefficient."""
     g = _intgcd(*p)
     if p[-1] < 0:
         g = -g
-    return tuple(c // g for c in p)
+    return g, tuple(c // g for c in p)
+
+
+def _iprim(p: IntPoly) -> IntPoly:
+    """Primitive part with positive leading coefficient; () for zero."""
+    return _isplit(p)[1] if p else ()
 
 
 def _ipseudo_rem(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -402,13 +411,7 @@ def _reduce(sc: Fraction, n: IntPoly, d: IntPoly) -> tuple[Fraction, IntPoly, In
     """Canonicalize scalar * n/d: coprime primitive parts, positive leads."""
     if not n or sc == 0:
         return Fraction(0), (), (1,)
-    cn, cd = _intgcd(*n), _intgcd(*d)
-    if n[-1] < 0:
-        cn = -cn
-    if d[-1] < 0:
-        cd = -cd
-    n = tuple(c // cn for c in n)
-    d = tuple(c // cd for c in d)
+    (cn, n), (cd, d) = _isplit(n), _isplit(d)
     _, n, d = _igcd(n, d)
     return sc * Fraction(cn, cd), n, d
 
@@ -487,24 +490,39 @@ class GMatrix(Frozen):
 def mobius_compose(f: RatFunc, g: GMatrix) -> RatFunc:
     """Right action of g on f: z -> f((az+b)/(cz+d)), reduced.
 
-    Numerator and denominator are homogenised by (cz+d)^D with
-    D = max(deg num, deg den); the uniform scale M^D from clearing the
-    matrix entries' denominators cancels between them.
+    With e = max(deg N, deg D), the stored N and D are homogenised as
+    p -> sum_j p_j (az+b)^j (cz+d)^(e-j), after scaling the matrix by the
+    lcm M of its entries' denominators; the factor M^e cancels between
+    them.  Horner's rule in the two linear forms,
+    acc <- acc (az+b) + p_j (cz+d)^(e-j) for j = e, ..., 0, with the powers
+    of cz+d built once, one linear step each, takes O(e^2) coefficient
+    operations in all.
+
+    No polynomial gcd is needed, because a determinant-one substitution
+    keeps the coprime N, D coprime.  A common root z0 of the two results
+    with cz0+d != 0 would make (az0+b)/(cz0+d) a common root of N and D.
+    At z0 = -d/c (c != 0) only the j = e terms survive, p_e (az0+b)^e,
+    where az0+b = -1/c != 0, and p_e is nonzero for N or for D because e
+    is the larger degree.  So dividing out the integer contents gives the
+    canonical form.
     """
     if f.sc == 0:
         return f
     M = _intlcm(*(x.denominator for x in (g.a, g.b, g.c, g.d)))
-    top = _itrim([int(g.b * M), int(g.a * M)])  # M(az + b), ascending
-    bot = _itrim([int(g.d * M), int(g.c * M)])  # M(cz + d)
+    ta, tb, bc, bd = (int(x * M) for x in (g.a, g.b, g.c, g.d))
     deg = max(len(f.nump), len(f.denp)) - 1
-    top_pows = [_ipow(top, i) for i in range(deg + 1)]
-    bot_pows = [_ipow(bot, i) for i in range(deg + 1)]
+    bot_pows = [[1]]  # bot_pows[k] = M^k (cz+d)^k, k+1 coefficients
+    for _ in range(deg):
+        bot_pows.append(_ilin_mul(bot_pows[-1], bc, bd))
 
-    def homog(coeffs: IntPoly) -> IntPoly:
-        acc: IntPoly = ()
-        for i, c in enumerate(coeffs):
+    def homog(p: IntPoly) -> IntPoly:
+        acc: list[int] = []  # after step j: deg - j + 1 coefficients
+        for j in range(deg, -1, -1):
+            acc = _ilin_mul(acc, ta, tb)
+            c = p[j] if j < len(p) else 0
             if c:
-                acc = _iadd(acc, _iscale(c, _imul(top_pows[i], bot_pows[deg - i])))
-        return acc
+                acc = [x + c * y for x, y in zip(acc, bot_pows[deg - j])]
+        return _itrim(acc)
 
-    return RatFunc._from_int(f.sc, homog(f.nump), homog(f.denp))
+    (cn, n), (cd, d) = _isplit(homog(f.nump)), _isplit(homog(f.denp))
+    return RatFunc._raw(f.sc * Fraction(cn, cd), n, d)

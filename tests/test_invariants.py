@@ -147,6 +147,17 @@ def test_rewrite_in_u_examples():
     assert r == [spec.zero(), spec.one()]
 
 
+def test_rewrite_in_u_honours_order():
+    # the smaller of the input's order and order= bounds the peeling, as in
+    # psi_inverse
+    a = [spec.one(), spec.gen("chi", 1) * chi**-2, spec.gen("xi") ** 2 * chi**-1]
+    q = PDSeries.sum(GR, [u_power(k, 9, GR).scale_left(ak) for k, ak in enumerate(a)], 9)
+    assert rewrite_in_u(q) == a
+    assert len(rewrite_in_u(q, order=2)) == 1
+    for n in range(1, 12):
+        assert rewrite_in_u(q, order=n) == rewrite_in_u(q.truncate(n)), n
+
+
 def test_rewrite_in_u_commutation_pattern():
     # u a = sum_n D^n(a) u^{n+1} for weight-0 a, D = -chi^{-1} d/dz
     a = spec.gen("chi", 1) * chi**-2

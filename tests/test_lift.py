@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from pdo.action import act_series, slash
+from pdo.coeffs import lift_coeff
 from pdo.errors import (
     NegativeOddWeight,
     NotAUnit,
@@ -61,6 +62,17 @@ def test_psi_negative_even_polynomial():
 def test_psi_zero_is_constant_embedding():
     p0 = psi(0, 1 / (z + 2))
     assert p0.is_exact() and p0.coeffs == {0: 1 / (z + 2)}
+
+
+@pytest.mark.parametrize("m", [m for m in range(-8, 13) if m >= 0 or m % 2 == 0])
+def test_psi_coefficients_are_lift_coeff(m):
+    # psi steps alpha_m(n) by its ratio in n; lift_coeff is the closed product
+    f = 1 / (z - 1)
+    q = psi(m, f, m + 80) if m > 0 else psi(m, f)
+    deriv = f
+    for n in range(40):
+        assert q.coeff(m + 2 * n) == lift_coeff(m, n) * deriv, (m, n)
+        deriv = deriv.deriv()
 
 
 def test_scalar_input_lifts_over_qz():

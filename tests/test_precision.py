@@ -204,6 +204,7 @@ def test_rewrite_in_u_precision(data, order):
         # known modulo O(y^n), q determines a_k for 2k < n, as u^k starts at y^2k
         short, k = rewrite_in_u(q.truncate(n)), max(1, (n + 1) // 2)
         assert len(short) <= k and padded(short, k) == padded(full, k)
+        assert rewrite_in_u(q, order=n) == short
 
 
 def padded(xs: list, k: int) -> list:

@@ -1,13 +1,24 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pdo.errors import DivisionByZero
 from pdo import ratfunc
-from pdo.ratfunc import GMatrix, RatFunc, _igcd, _imul, _iprim, _iprs_gcd, _itrim, mobius_compose
+from pdo.ratfunc import (
+    GMatrix,
+    RatFunc,
+    _iadd,
+    _igcd,
+    _imul,
+    _iprim,
+    _iprs_gcd,
+    _iscale,
+    _itrim,
+    mobius_compose,
+)
 
 z = RatFunc.z()
 T = GMatrix(1, 1, 0, 1)
@@ -216,6 +227,64 @@ def test_mobius_compose_matches_sympy(f, g):
     zs = sympy.Symbol("z")
     image = (sympy.Rational(g.a) * zs + sympy.Rational(g.b)) / (sympy.Rational(g.c) * zs + sympy.Rational(g.d))
     assert_matches(mobius_compose(f, g), to_sympy(f).subs(zs, image))
+
+
+# -- mobius_compose against the former power-by-power formula --
+
+
+def power_mobius_compose(f: RatFunc, g: GMatrix) -> RatFunc:
+    """The former formula: sum_j p_j (az+b)^j (cz+d)^(e-j), e = max(deg N,
+    deg D), with every power built afresh by repeated squaring, reduced
+    through the full gcd."""
+
+    def ipow(p, n):
+        out, base = (1,), p
+        while n:
+            if n & 1:
+                out = _imul(out, base)
+            base = _imul(base, base)
+            n >>= 1
+        return out
+
+    M = lcm(*(x.denominator for x in (g.a, g.b, g.c, g.d)))
+    top = _itrim([int(g.b * M), int(g.a * M)])
+    bot = _itrim([int(g.d * M), int(g.c * M)])
+    deg = max(len(f.nump), len(f.denp)) - 1
+
+    def homog(p):
+        acc = ()
+        for j, c in enumerate(p):
+            acc = _iadd(acc, _iscale(c, _imul(ipow(top, j), ipow(bot, deg - j))))
+        return acc
+
+    return RatFunc._from_int(f.sc, homog(f.nump), homog(f.denp))
+
+
+@st.composite
+def wide_ratfuncs(draw):
+    """Numerator and denominator degrees drawn from 0..24 each, so either
+    may be the larger; rational numerator coefficients."""
+
+    def poly(deg):
+        c = draw(st.lists(st.integers(-(2**20), 2**20), min_size=deg + 1, max_size=deg + 1))
+        return [*c[:-1], c[-1] or 1]
+
+    num, den = (poly(draw(st.integers(0, 24))) for _ in range(2))
+    return RatFunc([F(c, draw(st.integers(1, 5))) for c in num], den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_ratfuncs(), matrices())
+@example(RatFunc((3, 0, 0, 0, 0, 0, 2), (1, 5)), GMatrix(F(2, 3), F(1, 2), 0, F(3, 2)))
+@example(RatFunc((1, 5), (3, 0, 0, 0, 0, 0, 2)), GMatrix(F(2, 3), F(1, 2), 0, F(3, 2)))
+@example(RatFunc((7, 0, 0, 0, 0, 0, 2), (1, 5)), GMatrix(F(1, 2), 0, F(3, 2), 2))
+@example(RatFunc((1, 5), (7, 0, 0, 0, 0, 0, 2)), GMatrix(0, -1, 1, 0))
+def test_mobius_compose_matches_power_formula(f, g):
+    # the Horner form skips the gcd: the result must still be canonical
+    got = mobius_compose(f, g)
+    want = power_mobius_compose(f, g)
+    assert (got.sc, got.nump, got.denp) == (want.sc, want.nump, want.denp)
+    assert_canonical(got)
 
 
 # -- the Z[z] gcd against the pseudo-remainder sequence and sympy.gcd --
