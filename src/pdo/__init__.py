@@ -8,9 +8,8 @@ and exact verification suites for the underlying combinatorial identities.
 
 from .coeffs import comm_coeff_b, comm_coeff_c, gamma_tuple, gbinom, lift_coeff, omega, rho
 from .errors import PDOError
-from .graded import GradedElem, GradedRingSpec, Generator
-from .ratfunc import GMatrix, RatFunc, mobius_compose
-from .rings import QZ, GradedRing, QzRing
+from .graded import GradedElem, GradedRing, GradedRingSpec, Generator
+from .ratfunc import QZ, GMatrix, RatFunc, mobius_compose
 from .series import EXACT, PDSeries, series_inverse, series_mul, series_sqrt, split_even_odd
 from .action import (
     CocyclePair,
@@ -52,7 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EXACT", "QZ", "CocyclePair", "GMatrix", "GradedElem", "GradedRing",
-    "GradedRingSpec", "Generator", "PDOError", "PDSeries", "QzRing",
+    "GradedRingSpec", "Generator", "PDOError", "PDSeries",
     "RatFunc", "SUITES", "SuiteReport", "WeightedFamily",
     "act_series", "act_x_inverse_generic", "act_y_power", "alpha_table",
     "alpha_weight0", "check_cocycles", "closed_pairs", "coboundary_pair",

@@ -18,9 +18,8 @@ from typing import Callable, Sequence
 
 from .coeffs import omega
 from .errors import NotAUnit, OrderUnresolvable
-from .ratfunc import GMatrix, RatFunc, mobius_compose
-from .rings import QZ
-from .series import EXACT, PDSeries
+from .ratfunc import QZ, GMatrix, RatFunc, mobius_compose
+from .series import EXACT, PDSeries, _min_order
 
 __all__ = [
     "slash",
@@ -83,7 +82,7 @@ def act_series(q: PDSeries, g: GMatrix, order: int | None = None) -> PDSeries:
     """
     if q.ring != QZ:
         raise ValueError("the homographic action is implemented over Q(z)")
-    target = q.order if q.order is not None else order
+    target = _min_order(q.order, order)
     parts = (act_y_power(n, g, target).scale_left(mobius_compose(f, g)) for n, f in q.coeffs.items())
     return PDSeries.sum(QZ, parts, target)
 

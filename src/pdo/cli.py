@@ -18,7 +18,7 @@ from .errors import ParseError, PDOError
 from .invariants import g_forms, rewrite_in_u, v_uniformizer
 from .lift import psi, psi_inverse
 from .rankin import alpha_table, rc_bracket, star
-from .rings import QZ, GradedRing
+from .ratfunc import QZ
 from .serialize import (
     coeff_json,
     family_json,
@@ -30,6 +30,7 @@ from .serialize import (
     parse_series,
     parse_spec,
     ratfunc_json,
+    ring_json,
     series_json,
 )
 from .series import series_inverse, series_mul, series_sqrt
@@ -78,7 +79,7 @@ def _ring(args):
     if getattr(args, "ring", "graded") == "qz":
         return QZ
     spec_v = _load_value(args.spec, "--spec") if args.spec else DEFAULT_SPEC
-    return GradedRing(parse_spec(spec_v, "--spec"))
+    return parse_spec(spec_v, "--spec")
 
 
 def _nonneg_int(text: str) -> int:
@@ -99,58 +100,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, **kwargs):
-        sp = sub.add_parser(name, help=help_, **kwargs)
-        return sp
-
-    sp = add("mul", "product of two series (JSON PDSeries args)")
+    sp = sub.add_parser("mul", help="product of two series (JSON PDSeries args)")
     sp.add_argument("p")
     sp.add_argument("q")
     sp.add_argument("--order", type=_nonneg_int, default=None, help="truncate operands first")
 
-    sp = add("inv", "inverse of a series")
+    sp = sub.add_parser("inv", help="inverse of a series")
     sp.add_argument("q")
     sp.add_argument("--order", type=_nonneg_int, default=None, help="result truncation order")
 
-    sp = add("sqrt", "square root of a series with supplied leading root")
+    sp = sub.add_parser("sqrt", help="square root of a series with supplied leading root")
     sp.add_argument("q")
     sp.add_argument("--lead", required=True, help="coefficient e with e^2 = leading")
     sp.add_argument("--order", type=_nonneg_int, default=None)
 
-    sp = add("act", "apply a homography to a series over Q(z)")
+    sp = sub.add_parser("act", help="apply a homography to a series over Q(z)")
     sp.add_argument("q")
     sp.add_argument("--matrix", required=True, help="[[a,b],[c,d]] with det 1")
     sp.add_argument("--order", type=_nonneg_int, default=None)
 
-    sp = add("slash", "weight-k slash action on a rational function")
+    sp = sub.add_parser("slash", help="weight-k slash action on a rational function")
     sp.add_argument("f")
     sp.add_argument("--weight", type=int, required=True)
     sp.add_argument("--matrix", required=True)
 
-    sp = add("lift", "the weight-m lifting map applied to a coefficient")
+    sp = sub.add_parser("lift", help="the weight-m lifting map applied to a coefficient")
     sp.add_argument("f")
     sp.add_argument("--weight", type=int, required=True)
     sp.add_argument("--order", type=_nonneg_int, default=None)
     sp.add_argument("--ring", choices=["qz", "graded"], default="qz")
     sp.add_argument("--spec", default=None, help="generators JSON for --ring graded")
 
-    sp = add("psi-inv", "peel a series into its weighted family")
+    sp = sub.add_parser("psi-inv", help="peel a series into its weighted family")
     sp.add_argument("q")
     sp.add_argument("--order", type=_nonneg_int, default=None)
 
-    sp = add("star", "star product of two homogeneous graded elements")
+    sp = sub.add_parser("star", help="star product of two homogeneous graded elements")
     sp.add_argument("f")
     sp.add_argument("g")
     sp.add_argument("--order", type=_nonneg_int, required=True)
     sp.add_argument("--spec", default=None)
 
-    sp = add("alpha-table", "universal star multipliers alpha_n(k, l)")
+    sp = sub.add_parser("alpha-table", help="universal star multipliers alpha_n(k, l)")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--nmax", type=_nonneg_int, required=True)
     sp.add_argument("--out", choices=["json", "csv"], default="json")
 
-    sp = add("rc", "Rankin-Cohen bracket [f, g]_n at weights (k, l)")
+    sp = sub.add_parser("rc", help="Rankin-Cohen bracket [f, g]_n at weights (k, l)")
     sp.add_argument("f")
     sp.add_argument("g")
     sp.add_argument("--k", type=int, required=True)
@@ -159,21 +156,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ring", choices=["qz", "graded"], default="qz")
     sp.add_argument("--spec", default=None)
 
-    sp = add("g-table", "modular forms g_{k,2n} peeled from u^k")
+    sp = sub.add_parser("g-table", help="modular forms g_{k,2n} peeled from u^k")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--nmax", type=_nonneg_int, required=True)
     sp.add_argument("--spec", default=None)
     sp.add_argument("--out", choices=["json", "csv"], default="json")
 
-    sp = add("rewrite-u", "expand an invariant series in powers of u = x*chi")
+    sp = sub.add_parser("rewrite-u", help="expand an invariant series in powers of u = x*chi")
     sp.add_argument("q")
     sp.add_argument("--order", type=_nonneg_int, default=None)
 
-    sp = add("v-uniformizer", "the odd uniformizer sqrt(y^2 xi^2)")
+    sp = sub.add_parser("v-uniformizer", help="the odd uniformizer sqrt(y^2 xi^2)")
     sp.add_argument("--order", type=_nonneg_int, required=True)
     sp.add_argument("--spec", default=None)
 
-    sp = add("verify", "run an exact verification suite")
+    sp = sub.add_parser("verify", help="run an exact verification suite")
     sp.add_argument("suite", choices=sorted(SUITES))
     for flag in VERIFY_FLAGS:
         sp.add_argument(f"--{flag}", type=int if flag == "seed" else _nonneg_int, default=None)
@@ -260,7 +257,7 @@ def _cmd_g_table(args) -> None:
     else:
         _emit({
             "k": args.k,
-            "ring": {"kind": "graded", "generators": [[g.name, g.weight, g.invertible] for g in ring.spec.generators]},
+            "ring": ring_json(ring),
             "entries": {str(w): graded_json(e) for w, e in sorted(table.items())},
         })
 

@@ -17,6 +17,7 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations as _combinations
 from itertools import product as _cartesian
 from math import factorial
 from typing import Iterable, Sequence
@@ -133,17 +134,16 @@ def lift_coeff(m: int, n: int) -> Fraction:
 
 
 def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order: stars and bars, with the parts read off the gaps
+    between `parts - 1` bars placed among `total + parts - 1` slots."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    slots = total + parts - 1
+    for bars in _combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
 def _bounded_compositions(total: int, bounds: Sequence[int]) -> Iterable[tuple[int, ...]]:

@@ -12,12 +12,12 @@ class PDOError(Exception):
     """Base class for all domain errors."""
 
 
-class DivisionByZero(PDOError):
-    """Inversion of the zero element of a coefficient ring."""
-
-
 class NotAUnit(PDOError):
     """Inversion requested for a coefficient that is not invertible."""
+
+
+class DivisionByZero(NotAUnit):
+    """Inversion of the zero element of a coefficient ring (zero is not a unit)."""
 
 
 class NotHomogeneous(PDOError):

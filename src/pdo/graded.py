@@ -15,7 +15,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .errors import NotAUnit, NotHomogeneous, ZeroElement
+from .errors import NotAUnit, NotHomogeneous, RingMismatch, ZeroElement
 from .frozen import Frozen
 
 Scalar = Union[int, Fraction]
@@ -24,7 +24,7 @@ Scalar = Union[int, Fraction]
 # exponents nonzero, negative only for (invertible gen, deriv_order 0)
 Mono = tuple[tuple[int, int, int], ...]
 
-__all__ = ["Generator", "GradedRingSpec", "GradedElem"]
+__all__ = ["Generator", "GradedRingSpec", "GradedElem", "GradedRing"]
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,13 @@ class Generator:
 
 
 class GradedRingSpec(Frozen):
-    """An ordered list of named weighted generators.
+    """An ordered list of named weighted generators, and the free graded
+    ring on them.
 
     A spec is immutable: elements read their generators' weights through
-    it, and it is part of their hash."""
+    it, and it is part of their hash.  It is the coefficient ring of a
+    series over it: ``zero``, ``one``, ``coerce`` and ``sum`` are what the
+    series engine asks of a ring."""
 
     __slots__ = ("generators", "_index")
 
@@ -79,6 +82,41 @@ class GradedRingSpec(Frozen):
 
     def one(self) -> "GradedElem":
         return self.scalar(1)
+
+    def coerce(self, x: "GradedElem | Scalar") -> "GradedElem":
+        """`x` as an element of this ring: an element of it as is, a scalar
+        as a constant; an element of another ring raises RingMismatch."""
+        if isinstance(x, GradedElem):
+            if x.spec is not self and x.spec != self:
+                raise RingMismatch("element belongs to a different graded ring")
+            return x
+        return self.scalar(x)
+
+    def sum(self, terms: Iterable["GradedElem | Scalar"]) -> "GradedElem":
+        """The sum of `terms` in this ring, in one pass: numerators are
+        added over a running common denominator, which grows (rescaling what
+        is summed so far) only when a term's denominator does not divide it."""
+        out: dict[Mono, int] = {}
+        den = 1
+        for t in terms:
+            t = self.coerce(t)
+            d = t._den
+            if den % d:
+                k = d // gcd(den, d)
+                den *= k
+                for m in out:
+                    out[m] *= k
+            k = den // d
+            for m, c in t._num.items():
+                prev = out.get(m)
+                out[m] = c * k if prev is None else prev + c * k
+        return GradedElem._raw(self, out, den)
+
+    @property
+    def spec(self) -> "GradedRingSpec":
+        """The spec itself.  Kept because the benchmark reads ``ring.spec``
+        from a ring made by ``GradedRing``; library code uses the spec directly."""
+        return self
 
     def mono_weight(self, mono: Mono) -> int:
         return sum(e * (self.generators[g].weight + 2 * j) for g, j, e in mono)
@@ -129,14 +167,6 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
             out.append(b)
             k += 1
     return (*out, *m1[i:], *m2[k:])
-
-
-def _coerce(spec: GradedRingSpec, x: "GradedElem | Scalar") -> "GradedElem":
-    if isinstance(x, GradedElem):
-        if x.spec is not spec and x.spec != spec:
-            raise ValueError("elements of different graded rings")
-        return x
-    return spec.scalar(x)
 
 
 def _set_slots(obj: "GradedElem", spec: GradedRingSpec, num: dict[Mono, int], den: int) -> "GradedElem":
@@ -194,27 +224,6 @@ class GradedElem(Frozen):
         d = self._den
         return MappingProxyType({m: Fraction(c, d) for m, c in self._num.items()})
 
-    @classmethod
-    def sum(cls, spec: GradedRingSpec, terms: Iterable["GradedElem | Scalar"]) -> "GradedElem":
-        """The sum of `terms` in the ring `spec`, in one pass: numerators are
-        added over a running common denominator, which grows (rescaling what
-        is summed so far) only when a term's denominator does not divide it."""
-        out: dict[Mono, int] = {}
-        den = 1
-        for t in terms:
-            t = _coerce(spec, t)
-            d = t._den
-            if den % d:
-                k = d // gcd(den, d)
-                den *= k
-                for m in out:
-                    out[m] *= k
-            k = den // d
-            for m, c in t._num.items():
-                prev = out.get(m)
-                out[m] = c * k if prev is None else prev + c * k
-        return cls._raw(spec, out, den)
-
     # -- predicates --
 
     def is_zero(self) -> bool:
@@ -222,6 +231,11 @@ class GradedElem(Frozen):
 
     def is_scalar(self) -> bool:
         return all(m == () for m in self._num)
+
+    def deriv_terminates(self) -> bool:
+        """Whether some derivative vanishes: in a free differential ring,
+        only the scalars."""
+        return self.is_scalar()
 
     def scalar_value(self) -> Fraction:
         if not self.is_scalar():
@@ -234,7 +248,7 @@ class GradedElem(Frozen):
     # -- arithmetic --
 
     def __add__(self, other: "GradedElem | Scalar") -> "GradedElem":
-        return GradedElem.sum(self.spec, (self, other))
+        return self.spec.sum((self, other))
 
     __radd__ = __add__
 
@@ -242,16 +256,16 @@ class GradedElem(Frozen):
         return GradedElem._raw(self.spec, {m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "GradedElem | Scalar") -> "GradedElem":
-        return self + (-_coerce(self.spec, other))
+        return self + (-self.spec.coerce(other))
 
     def __rsub__(self, other: Scalar) -> "GradedElem":
-        return _coerce(self.spec, other) - self
+        return self.spec.coerce(other) - self
 
     def __mul__(self, other: "GradedElem | Scalar") -> "GradedElem":
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
             return GradedElem._raw(self.spec, {m: c * p for m, c in self._num.items()}, self._den * q)
-        other = _coerce(self.spec, other)
+        other = self.spec.coerce(other)
         out: dict[Mono, int] = {}
         right = other._num.items()
         for m1, c1 in self._num.items():
@@ -265,7 +279,7 @@ class GradedElem(Frozen):
 
     def __pow__(self, n: int) -> "GradedElem":
         if n < 0:
-            return self.inv_unit() ** (-n)
+            return self.inverse() ** (-n)
         out = self.spec.one()
         base = self
         while n:
@@ -288,7 +302,7 @@ class GradedElem(Frozen):
             return hash(self.scalar_value())
         return hash((self.spec, self._den, tuple(sorted(self._num.items()))))
 
-    def inv_unit(self) -> "GradedElem":
+    def inverse(self) -> "GradedElem":
         """Inverse of a unit monomial c * prod g_i^{e_i} (derivative order 0)."""
         if len(self._num) != 1:
             raise NotAUnit("units are single monomial terms")
@@ -365,3 +379,9 @@ class GradedElem(Frozen):
             else:
                 parts.append(f"{c}*{body}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def GradedRing(spec: GradedRingSpec) -> GradedRingSpec:
+    """The graded ring of `spec`, which is `spec` itself.  Kept because the
+    benchmark builds its ring as ``GradedRing(parse_spec(...))``."""
+    return spec

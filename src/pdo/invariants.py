@@ -20,8 +20,7 @@ from .errors import NotAUnit, NotHomogeneous, NotInvariant, OrderUnresolvable
 from .graded import GradedElem, GradedRingSpec
 from .lift import WeightedFamily, psi_inverse
 from .rankin import rc_bracket
-from .rings import GradedRing
-from .series import PDSeries, series_inverse, series_mul, series_sqrt
+from .series import PDSeries, _min_order, series_inverse, series_mul, series_sqrt
 
 __all__ = [
     "find_unit_generator",
@@ -48,10 +47,10 @@ def weight0_derivation(a: GradedElem, chi: GradedElem | None = None) -> GradedEl
     """D(a) = -chi^{-1} da/dz, the derivation of the weight-0 subring."""
     if chi is None:
         chi = find_unit_generator(a.spec, 2)
-    return -(chi.inv_unit() * a.deriv())
+    return -(chi.inverse() * a.deriv())
 
 
-def u_power(k: int, order: int, ring: GradedRing) -> PDSeries:
+def u_power(k: int, order: int, ring: GradedRingSpec) -> PDSeries:
     """(x*chi)^k by the closed multinomial expansion, truncated at `order`:
 
         u^k = sum_n (-1)^n ((k+n)!/k!)
@@ -59,7 +58,7 @@ def u_power(k: int, order: int, ring: GradedRing) -> PDSeries:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    chi = find_unit_generator(ring.spec, 2)
+    chi = find_unit_generator(ring, 2)
     if k == 0:
         return PDSeries.one(ring)
     derivs = [chi]
@@ -76,7 +75,7 @@ def u_power(k: int, order: int, ring: GradedRing) -> PDSeries:
     return PDSeries(ring, out, order)
 
 
-def _scaled_product(scale: Fraction, t: Sequence[int], derivs: list, ring: GradedRing):
+def _scaled_product(scale: Fraction, t: Sequence[int], derivs: list, ring: GradedRingSpec):
     """scale * prod_j chi^(t_j)/(t_j+1)!, with derivs[j] = chi^(j)."""
     term = ring.one()
     for tj in t:
@@ -85,7 +84,7 @@ def _scaled_product(scale: Fraction, t: Sequence[int], derivs: list, ring: Grade
     return scale * term
 
 
-def g_forms(k: int, n_max: int, ring: GradedRing) -> dict[int, GradedElem]:
+def g_forms(k: int, n_max: int, ring: GradedRingSpec) -> dict[int, GradedElem]:
     """The modular forms g_{k, 2n} (k <= n <= n_max) peeled from u^k.
 
     Returned keyed by weight 2n, zeros included; each nonzero entry is
@@ -96,7 +95,7 @@ def g_forms(k: int, n_max: int, ring: GradedRing) -> dict[int, GradedElem]:
     return {2 * n: fam.component(2 * n) for n in range(k, n_max + 1)}
 
 
-def g_closed(k: int, i: int, ring: GradedRing) -> GradedElem:
+def g_closed(k: int, i: int, ring: GradedRingSpec) -> GradedElem:
     """Closed form of g_{k, 2k+2i} via the tuple coefficients:
 
         g_{k,2k+2i} = (-1)^i ((k+i)!(k+i-1)!/((2k+2i-2)! k!))
@@ -104,7 +103,7 @@ def g_closed(k: int, i: int, ring: GradedRing) -> GradedElem:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    chi = find_unit_generator(ring.spec, 2)
+    chi = find_unit_generator(ring, 2)
     derivs = [chi]
     while len(derivs) <= i:
         derivs.append(derivs[-1].deriv())
@@ -120,7 +119,7 @@ def g_closed(k: int, i: int, ring: GradedRing) -> GradedElem:
     return pref * total
 
 
-def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRing) -> WeightedFamily:
+def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRingSpec) -> WeightedFamily:
     """The weighted family of q = sum_k a_k u^k from weight-0 coefficients a_k:
 
         f_{2m} = (-1)^m ((m-1)!/(2m-2)!) sum_{k<=n<=m, n>=1} (-1)^n
@@ -174,15 +173,13 @@ def rewrite_in_u(q: PDSeries, order: int | None = None) -> list[GradedElem]:
     a weight-0 element.  Peeling right-multiplies by the inverse of u.
     """
     ring = q.ring
-    if not ring.is_graded:
+    if not isinstance(ring, GradedRingSpec):
         raise NotInvariant("rewriting in u works over a graded ring")
     if any(n % 2 != 0 for n in q.coeffs) or (q.coeffs and q.valuation < 0):
         raise NotInvariant("input must have even support and valuation >= 0")
     if not is_invariant(q):
         raise NotInvariant("coefficient weights must equal exponents")
-    bound = q.order if q.order is not None else order
-    if bound is not None and order is not None:
-        bound = min(bound, order)
+    bound = _min_order(q.order, order)
     if bound is None:
         raise OrderUnresolvable("rewriting in u needs a finite working order")
     u = u_power(1, max(bound, 3), ring)  # u = chi y^2 + O(y^3) at least, so a unit
@@ -204,9 +201,9 @@ def rewrite_in_u(q: PDSeries, order: int | None = None) -> list[GradedElem]:
     return out
 
 
-def v_uniformizer(order: int, ring: GradedRing) -> PDSeries:
+def v_uniformizer(order: int, ring: GradedRingSpec) -> PDSeries:
     """The odd uniformizer v = sqrt(y^2 xi^2) with leading coefficient xi."""
-    xi = find_unit_generator(ring.spec, 1)
+    xi = find_unit_generator(ring, 1)
     q = series_mul(
         PDSeries.monomial(ring, ring.one(), 2, order + 1),
         PDSeries.monomial(ring, xi * xi, 0),

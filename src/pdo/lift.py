@@ -27,9 +27,9 @@ from .errors import (
     ValuationTooLow,
 )
 from .frozen import Frozen
-from .ratfunc import GMatrix, RatFunc
-from .rings import ring_of
-from .series import EXACT, PDSeries, series_inverse, series_mul
+from .graded import GradedElem
+from .ratfunc import QZ, GMatrix, RatFunc
+from .series import EXACT, PDSeries, _min_order, series_inverse, series_mul
 from .action import act_series, slash
 
 __all__ = [
@@ -44,6 +44,18 @@ __all__ = [
     "negodd_nonexistence",
     "NegOddReport",
 ]
+
+
+def ring_of(f, ring=None):
+    """`ring` when given, else the ring `f` belongs to; plain scalars
+    belong to Q(z)."""
+    if ring is not None:
+        return ring
+    if isinstance(f, GradedElem):
+        return f.spec
+    if isinstance(f, (RatFunc, int, Fraction)):
+        return QZ
+    raise TypeError(f"no coefficient ring for a value of type {type(f).__name__}")
 
 
 class WeightedFamily(Frozen):
@@ -106,7 +118,7 @@ def psi(m: int, f, order: int | None = None, ring=None) -> PDSeries:
         raise NegativeOddWeight(f"no lifting map at weight {m}")
     ring = ring_of(f, ring)
     f = ring.coerce(f)
-    if ring.is_graded and not f.is_zero() and not f.is_homogeneous(m):
+    if isinstance(f, GradedElem) and not f.is_zero() and not f.is_homogeneous(m):
         raise NotHomogeneous(f"lifting a weight-{m} coefficient needs weight-{m} input")
     exact = m <= 0 and m % 2 == 0
     if not exact and order is None:
@@ -138,9 +150,11 @@ def psi_neg_via_xi(k: int, f, xi, order: int, ring=None) -> PDSeries:
         raise ValueError("k must be positive")
     ring = ring_of(f, ring)
     xi, f = ring.coerce(xi), ring.coerce(f)
-    if not ring.is_unit(xi):
-        raise NotAUnit("xi must be an invertible unit")
-    if ring.is_graded:
+    try:
+        xi.inverse()
+    except NotAUnit:
+        raise NotAUnit("xi must be an invertible unit") from None
+    if isinstance(xi, GradedElem):
         if not xi.is_homogeneous(1):
             raise NotHomogeneous("xi must have weight 1")
         if not f.is_zero() and not f.is_homogeneous(-k):
@@ -161,9 +175,7 @@ def pi_k(q: PDSeries, k: int):
 def psi_inverse(q: PDSeries, order: int | None = None) -> WeightedFamily:
     """Peel q into its weighted family: repeatedly strip psi_m of the
     leading coefficient.  Negative peeling indices must be even."""
-    bound = q.order if q.order is not None else order
-    if bound is not None and order is not None:
-        bound = min(bound, order)
+    bound = _min_order(q.order, order)
     current = q
     comps: dict[int, object] = {}
     while not current.is_zero():

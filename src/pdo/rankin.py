@@ -17,8 +17,7 @@ from math import factorial
 from .coeffs import gbinom
 from .errors import BracketMismatch, EdgeCaseWeightZero, NotHomogeneous
 from .graded import GradedElem, GradedRingSpec, Generator
-from .lift import WeightedFamily, psi, psi_assemble, psi_inverse
-from .rings import GradedRing, ring_of
+from .lift import WeightedFamily, psi, psi_assemble, psi_inverse, ring_of
 from .series import series_mul
 
 __all__ = [
@@ -58,7 +57,7 @@ def rc_bracket(f, g, k: int, l: int, n: int):
 
 def star(f: GradedElem, g: GradedElem, order: int) -> WeightedFamily:
     """f * g = (peel)(psi_k(f) . psi_l(g)) as a weighted family from k + l."""
-    ring = GradedRing(f.spec)
+    ring = f.spec
     k = _weight(f)
     l = _weight(g)
     if k < 0 or l < 0:
@@ -136,7 +135,7 @@ def alpha_table(k: int, l: int, n_max: int) -> list[Fraction]:
 
 def star_via_brackets(f: GradedElem, g: GradedElem, n_max: int) -> WeightedFamily:
     """sum_n alpha_n(k, l) [f, g]_n as a weighted family (cross-check path)."""
-    ring = GradedRing(f.spec)
+    ring = f.spec
     k = _weight(f)
     l = _weight(g)
     table = alpha_table(k, l, n_max)

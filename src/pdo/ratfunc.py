@@ -27,7 +27,7 @@ from .frozen import Frozen
 Scalar = Union[int, Fraction]
 IntPoly = tuple[int, ...]
 
-__all__ = ["RatFunc", "GMatrix", "mobius_compose"]
+__all__ = ["QZ", "RatFunc", "GMatrix", "mobius_compose"]
 
 
 # -- integer polynomial helpers (ascending coefficients, no trailing zeros) --
@@ -219,6 +219,10 @@ class RatFunc(Frozen):
     Canonically scalar * N/D with N, D coprime primitive integer polynomials
     of positive leading coefficient; zero is 0/1.  Supports field arithmetic,
     d/dz, and composition with homographies.  Values are immutable.
+
+    The class is also the coefficient ring Q(z) of a series (``QZ``): its
+    classmethods ``zero``, ``one``, ``coerce`` and ``sum`` are what the
+    series engine asks of a ring.
     """
 
     __slots__ = ("sc", "nump", "denp")
@@ -253,6 +257,21 @@ class RatFunc(Frozen):
         return cls._raw(c, (1,), (1,))
 
     @classmethod
+    def zero(cls) -> "RatFunc":
+        return cls.const(0)
+
+    @classmethod
+    def one(cls) -> "RatFunc":
+        return cls.const(1)
+
+    @classmethod
+    def coerce(cls, x: "RatFunc | Scalar") -> "RatFunc":
+        """`x` as an element of Q(z): a RatFunc as is, a scalar as a constant."""
+        if isinstance(x, RatFunc):
+            return x
+        return cls.const(x)
+
+    @classmethod
     def z(cls) -> "RatFunc":
         return cls._raw(Fraction(1), (0, 1), (1,))
 
@@ -284,6 +303,10 @@ class RatFunc(Frozen):
     def is_polynomial(self) -> bool:
         return len(self.denp) == 1
 
+    def deriv_terminates(self) -> bool:
+        """Whether some derivative vanishes: the polynomials."""
+        return self.is_polynomial()
+
     # -- arithmetic --
 
     @classmethod
@@ -293,7 +316,7 @@ class RatFunc(Frozen):
         only, and the result is reduced a single time."""
         L, num, den = 1, (), (1,)  # the running sum is num / (L * den)
         last, count = None, 0
-        for t in map(_coerce, terms):
+        for t in map(cls.coerce, terms):
             if t.sc == 0:
                 continue
             last, count = t, count + 1
@@ -318,10 +341,10 @@ class RatFunc(Frozen):
         return RatFunc._raw(-self.sc, self.nump, self.denp)
 
     def __sub__(self, other: "RatFunc | Scalar") -> "RatFunc":
-        return self + (-_coerce(other))
+        return self + (-RatFunc.coerce(other))
 
     def __rsub__(self, other: Scalar) -> "RatFunc":
-        return _coerce(other) - self
+        return RatFunc.coerce(other) - self
 
     def __mul__(self, other: "RatFunc | Scalar") -> "RatFunc":
         if isinstance(other, (int, Fraction)):
@@ -348,10 +371,10 @@ class RatFunc(Frozen):
         return RatFunc._raw(sc, n, d)
 
     def __truediv__(self, other: "RatFunc | Scalar") -> "RatFunc":
-        return self * _coerce(other).inverse()
+        return self * RatFunc.coerce(other).inverse()
 
     def __rtruediv__(self, other: Scalar) -> "RatFunc":
-        return _coerce(other) * self.inverse()
+        return RatFunc.coerce(other) * self.inverse()
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
@@ -401,6 +424,9 @@ class RatFunc(Frozen):
         return f"({_pstr(num)})/({_pstr(den)})"
 
 
+QZ = RatFunc  # the field Q(z) as a coefficient ring
+
+
 def _set_slots(obj: RatFunc, sc: Fraction, nump: IntPoly, denp: IntPoly) -> None:
     object.__setattr__(obj, "sc", sc)
     object.__setattr__(obj, "nump", nump)
@@ -414,12 +440,6 @@ def _reduce(sc: Fraction, n: IntPoly, d: IntPoly) -> tuple[Fraction, IntPoly, In
     (cn, n), (cd, d) = _isplit(n), _isplit(d)
     _, n, d = _igcd(n, d)
     return sc * Fraction(cn, cd), n, d
-
-
-def _coerce(x: "RatFunc | Scalar") -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    return RatFunc.const(x)
 
 
 def _pstr(p: Sequence[Fraction]) -> str:

@@ -19,8 +19,7 @@ from typing import Any
 from .errors import ParseError
 from .graded import GradedElem, GradedRingSpec, Generator
 from .lift import WeightedFamily
-from .ratfunc import GMatrix, RatFunc
-from .rings import QZ, GradedRing
+from .ratfunc import QZ, GMatrix, RatFunc
 from .series import EXACT, PDSeries
 
 __all__ = [
@@ -121,9 +120,9 @@ def parse_spec(v: Any, field: str = "generators") -> GradedRingSpec:
 
 
 def ring_json(ring) -> dict:
-    if ring == QZ:
+    if ring is QZ:
         return {"kind": "qz"}
-    return {"kind": "graded", "generators": spec_json(ring.spec)}
+    return {"kind": "graded", "generators": spec_json(ring)}
 
 
 def parse_ring(v: Any, field: str = "ring"):
@@ -133,7 +132,7 @@ def parse_ring(v: Any, field: str = "ring"):
     if kind == "qz":
         return QZ
     if kind == "graded":
-        return GradedRing(parse_spec(v.get("generators"), f"{field}.generators"))
+        return parse_spec(v.get("generators"), f"{field}.generators")
     raise ParseError(f"{field}.kind: unknown ring kind {kind!r}")
 
 
@@ -171,15 +170,15 @@ def parse_graded(v: Any, spec: GradedRingSpec, field: str = "elem") -> GradedEle
 
 
 def coeff_json(ring, c) -> Any:
-    if ring == QZ:
+    if ring is QZ:
         return ratfunc_json(c)
     return graded_json(c)
 
 
 def parse_coeff(v: Any, ring, field: str = "coeff"):
-    if ring == QZ:
+    if ring is QZ:
         return parse_ratfunc(v, field)
-    return parse_graded(v, ring.spec, field)
+    return parse_graded(v, ring, field)
 
 
 def series_json(q: PDSeries) -> dict:

@@ -5,6 +5,12 @@ y^{i+2u} with delta = -d/2, d the coefficient ring's derivation ``deriv``; the
 even-exponent subring is the x-series ring via x = y^2, whose law
 x^m f = sum_u b_m(u) (2 delta)^u(f) x^{m+u} is the even specialisation.
 
+A coefficient ring is ``QZ`` (the class ``RatFunc``) or a
+``GradedRingSpec``.  The ring gives ``zero``, ``one``, ``coerce`` and
+``sum``; its elements answer ``is_zero``, ``deriv``, ``inverse`` (raising
+``NotAUnit``) and ``deriv_terminates``, which says whether some derivative
+vanishes and so whether a product of exact series is finite.
+
 Precision contract: ``order = None`` is the EXACT sentinel, meaning every
 omitted coefficient is identically zero.  All other series carry a finite
 truncation order N and represent their class modulo O(y^N).  Products of
@@ -31,6 +37,7 @@ from typing import Iterable, Mapping
 
 from .errors import (
     BadRoot,
+    NotAUnit,
     NotInvertible,
     OddValuation,
     OrderUnresolvable,
@@ -219,7 +226,7 @@ def series_mul(p: PDSeries, q: PDSeries) -> PDSeries:
     terms: dict[int, list] = {}
     for i, a in left.items():
         for j, b in right.items():
-            if exact and not (i <= 0 and i % 2 == 0 or ring.deriv_terminates(b[0])):
+            if exact and not (i <= 0 and i % 2 == 0 or b[0].deriv_terminates()):
                 raise OrderUnresolvable(
                     "product of exact series is an infinite series; "
                     "truncate an operand to a finite order first"
@@ -257,10 +264,10 @@ def series_inverse(q: PDSeries, order: int | None = None) -> PDSeries:
         raise NotInvertible("zero series is not invertible")
     ring = q.ring
     v = q.valuation
-    f = q.coeffs[v]
-    if not ring.is_unit(f):
-        raise NotInvertible("leading coefficient is not a unit")
-    f_inv = ring.inv(f)
+    try:
+        f_inv = q.coeffs[v].inverse()
+    except NotAUnit:
+        raise NotInvertible("leading coefficient is not a unit") from None
 
     if q.order is None and order is None:
         if len(q.coeffs) == 1:
@@ -305,8 +312,10 @@ def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
     e = ring.coerce(e)
     if e * e != q.coeffs[v]:
         raise BadRoot("e^2 does not equal the leading coefficient")
-    if not ring.is_unit(e):
-        raise BadRoot("leading root must be a unit")
+    try:
+        two_e_inv = (e + e).inverse()
+    except NotAUnit:
+        raise BadRoot("leading root must be a unit") from None
     w = v // 2
 
     if q.order is None and order is None:
@@ -323,7 +332,6 @@ def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
 
     z = PDSeries.monomial(ring, e, w, result_order)
     square = series_mul(z, z)
-    two_e_inv = ring.inv(e + e)
     for n in range(2 * w + 1, work):
         need = q.coeff(n) - square.coeff(n)
         if need.is_zero():

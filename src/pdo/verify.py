@@ -15,8 +15,7 @@ from math import factorial
 from typing import Callable
 
 from .coeffs import gbinom, lift_coeff, recip_factorial, rho
-from .ratfunc import GMatrix, RatFunc, mobius_compose
-from .rings import QZ
+from .ratfunc import QZ, GMatrix, RatFunc, mobius_compose
 from .series import PDSeries, series_mul
 from .action import act_series, act_y_power, slash
 

@@ -29,7 +29,7 @@ from pdo.lift import (
 )
 from pdo.rankin import alpha_table, rc_bracket, star_families
 from pdo.ratfunc import GMatrix, RatFunc
-from pdo.rings import QZ, GradedRing
+from pdo import QZ
 from pdo.series import PDSeries, series_inverse, series_mul
 from pdo.verify import run_suite, slash_derivative_expansion
 
@@ -40,7 +40,7 @@ W = GMatrix(2, 1, 3, 2)
 MATRICES = [T, U, W]
 
 spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True)])
-GR = GradedRing(spec)
+GR = spec
 chi = spec.gen("chi")
 xi = spec.gen("xi")
 

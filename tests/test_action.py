@@ -21,7 +21,7 @@ from pdo.errors import OrderUnresolvable
 from pdo.graded import GradedRingSpec
 from pdo.lift import WeightedFamily
 from pdo.ratfunc import GMatrix, RatFunc
-from pdo.rings import QZ, GradedRing
+from pdo import QZ
 from pdo.series import PDSeries, series_inverse, series_mul, split_even_odd
 
 z = RatFunc.z()
@@ -55,9 +55,9 @@ _chi, _xi = _spec.gen("chi"), _spec.gen("xi")
         (z**2 + 3) / (2 * z - 1),
         _chi**-1 * _spec.gen("xi", 1) + F(1, 2),
         GMatrix(1, 1, 1, 2),
-        WeightedFamily(GradedRing(_spec), {2: _chi, 3: _chi * _xi - _spec.gen("xi", 1)}),
+        WeightedFamily(_spec, {2: _chi, 3: _chi * _xi - _spec.gen("xi", 1)}),
         act_y_power(1, GMatrix(1, 1, 1, 2), 5),
-        PDSeries(GradedRing(_spec), {-1: _xi**-1, 2: _chi * _spec.gen("chi", 2)}),
+        PDSeries(_spec, {-1: _xi**-1, 2: _chi * _spec.gen("chi", 2)}),
     ],
     ids=["RatFunc", "GradedElem", "GMatrix", "WeightedFamily", "PDSeries-qz", "PDSeries-graded"],
 )
@@ -153,6 +153,17 @@ def test_act_series_examples():
     q = PDSeries(QZ, {-2: 1 / (z - 2), 0: z, 3: z**2}, 10)
     assert act_series(q, GMatrix.identity()).agree(q)
     assert act_series(q, W).valuation == q.valuation
+
+
+def test_act_series_honours_order():
+    # a smaller order= truncates a truncated input, as psi_inverse and
+    # series_inverse do; a larger one leaves the input's order in charge
+    q = PDSeries(QZ, {-2: 1 / (z - 2), 0: z, 3: z**2, 6: 1 / (z + 1)}, 9)
+    for g in (T, U, W):
+        got = act_series(q, g, order=5)
+        assert got.order == 5
+        assert got == act_series(q, g).truncate(5)
+        assert act_series(q, g, order=12) == act_series(q, g)
 
 
 def test_act_series_group_law_and_automorphism():

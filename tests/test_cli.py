@@ -13,7 +13,7 @@ from pdo.graded import GradedRingSpec, Generator
 from pdo.lift import psi
 from pdo.rankin import alpha_table
 from pdo.ratfunc import RatFunc
-from pdo.rings import QZ, GradedRing
+from pdo import QZ
 from pdo.serialize import (
     frac_str,
     parse_family,
@@ -138,9 +138,24 @@ def test_g_table(capsys):
     assert out.splitlines()[0] == "weight,g_1"
 
 
+def test_g_table_with_many_parts_exits_0_without_traceback():
+    # u^k expands over compositions into k parts; k = 1500 once ended in a RecursionError
+    src = str(Path(pdo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdo.cli", "g-table", "--k", "1500", "--nmax", "1500"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    data = json.loads(proc.stdout)
+    assert list(data["entries"]) == ["3000"]
+    assert data["entries"]["3000"] == {"terms": [{"c": "1/1", "mono": [[0, 0, 1500]]}]}
+
+
 def test_rewrite_u(capsys):
     spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True)])
-    ring = GradedRing(spec)
+    ring = spec
     from pdo.invariants import u_power
 
     q = series_json(u_power(2, 12, ring))

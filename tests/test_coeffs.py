@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -183,3 +184,30 @@ def test_gamma_tuple_validates_input():
         gamma_tuple(2, 1, (1, 1), "A2")
     with pytest.raises(ValueError):
         gamma_tuple(2, 1, (1,), "A2")
+
+
+def recursive_compositions(total, parts):
+    """The former recursive enumeration, kept as the oracle for the order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in recursive_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def test_compositions_match_recursive_oracle():
+    for total in range(-1, 7):
+        for parts in range(0, 6):
+            assert list(compositions(total, parts)) == list(recursive_compositions(total, parts)), (total, parts)
+
+
+def test_compositions_have_no_depth_limit():
+    # one recursion level per part overflowed the stack at a few thousand parts
+    assert list(compositions(0, 5000)) == [(0,) * 5000]
+    first, second = islice(compositions(1, 3000), 2)
+    assert first == (0,) * 2999 + (1,) and second == (0,) * 2998 + (1, 0)

@@ -26,7 +26,8 @@ from pdo.lift import (
     psi_neg_via_xi,
 )
 from pdo.ratfunc import GMatrix, RatFunc
-from pdo.rings import QZ, GradedRing, ring_of
+from pdo import QZ
+from pdo.lift import ring_of
 from pdo.series import PDSeries, series_mul
 
 z = RatFunc.z()
@@ -34,7 +35,7 @@ T = GMatrix(1, 1, 0, 1)
 U = GMatrix(1, 0, 1, 1)
 W = GMatrix(2, 1, 3, 2)
 spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True)])
-GR = GradedRing(spec)
+GR = spec
 chi = spec.gen("chi")
 xi = spec.gen("xi")
 

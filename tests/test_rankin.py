@@ -9,10 +9,9 @@ from pdo.graded import GradedRingSpec, Generator
 from pdo.lift import WeightedFamily, psi_assemble
 from pdo.rankin import alpha_table, alpha_weight0, rc_bracket, star, star_families, star_via_brackets
 from pdo.ratfunc import RatFunc
-from pdo.rings import GradedRing
 
 spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True)])
-GR = GradedRing(spec)
+GR = spec
 chi = spec.gen("chi")
 xi = spec.gen("xi")
 z = RatFunc.z()

@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pdo.errors import DivisionByZero
+from pdo.errors import DivisionByZero, NotAUnit
 from pdo import ratfunc
 from pdo.ratfunc import (
     GMatrix,
@@ -70,6 +70,9 @@ def test_inverse_and_division():
     f = (z**2 + 3) / (z - 1)
     assert f * f.inverse() == RatFunc.const(1)
     with pytest.raises(DivisionByZero):
+        RatFunc.const(0).inverse()
+    # zero is not a unit: callers of inverse() catch NotAUnit in either ring
+    with pytest.raises(NotAUnit):
         RatFunc.const(0).inverse()
 
 

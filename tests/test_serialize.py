@@ -7,7 +7,7 @@ from pdo.errors import ParseError
 from pdo.graded import GradedRingSpec, Generator
 from pdo.lift import WeightedFamily
 from pdo.ratfunc import GMatrix, RatFunc
-from pdo.rings import QZ, GradedRing
+from pdo import QZ
 from pdo.serialize import (
     family_json,
     frac_str,
@@ -30,7 +30,7 @@ from pdo.series import EXACT, PDSeries
 
 z = RatFunc.z()
 spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True)])
-GR = GradedRing(spec)
+GR = spec
 chi = spec.gen("chi")
 xi = spec.gen("xi")
 

@@ -14,14 +14,28 @@ from pdo.errors import (
 )
 from pdo.graded import GradedRingSpec, Generator
 from pdo.ratfunc import RatFunc
-from pdo.rings import QZ, GradedRing
+from pdo import QZ, GradedRing
 from pdo.series import EXACT, PDSeries, series_inverse, series_mul, series_sqrt, split_even_odd
 
 z = RatFunc.z()
 spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True)])
-GR = GradedRing(spec)
+GR = spec
 chi = spec.gen("chi")
 xi = spec.gen("xi")
+
+
+def test_each_coefficient_ring_is_its_domain():
+    # Q(z) is the class RatFunc and a graded ring is its spec: each has one
+    # coerce and one sum, and the elements answer inverse and deriv_terminates
+    assert QZ is RatFunc
+    assert QZ.zero() == 0 and QZ.one() == 1 and QZ.coerce(F(1, 2)) == RatFunc.const(F(1, 2))
+    assert QZ.coerce(z) is z and QZ.sum([z, 1, -z]) == 1
+    assert z.deriv_terminates() and not (1 / z).deriv_terminates()
+    assert spec.zero().is_zero() and spec.one() == 1 and spec.coerce(3) == spec.scalar(3)
+    assert spec.sum([chi, 1, -chi]) == 1 and chi.inverse() * chi == 1
+    assert spec.scalar(5).deriv_terminates() and not chi.deriv_terminates()
+    # the benchmark builds its ring as GradedRing(spec) and reads ring.spec
+    assert GradedRing(spec) is spec and spec.spec is spec
 
 
 def rand_series(rnd, ring, vmin, vmax, order):
@@ -270,7 +284,7 @@ def geometric_inverse(q, order=None):
     """The inverse by the geometric series of the unit part, an independent
     oracle: q = (f y^v) u with u = 1 + r, and inv(q) = (sum_k (-r)^k) y^{-v} f^{-1}."""
     ring, v = q.ring, q.valuation
-    f_inv = ring.inv(q.coeffs[v])
+    f_inv = q.coeffs[v].inverse()
     result_order = q.order - 2 * v if q.order is not None else order
     if order is not None:
         result_order = min(result_order, order)

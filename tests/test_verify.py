@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from pdo.ratfunc import GMatrix, RatFunc, mobius_compose
-from pdo.verify import run_suite, slash_derivative_expansion, SUITES
+from pdo.verify import _default_fs, run_suite, slash_derivative_expansion, SUITES
 from pdo.action import slash
 
 z = RatFunc.z()
@@ -85,3 +87,21 @@ def test_alternating_factorial_form_matches():
                 acc = acc + coef * s ** (-(n + 2 * r)) * (RatFunc.const(g.c) / s) ** (m - r) * mobius_compose(fr, g)
                 fr = fr.deriv()
             assert acc == slash(f, n, g).deriv_n(m), (n, m)
+
+
+def test_slash_derivative_expansion_default_functions():
+    # every default function, c = 0 and c != 0, rational entries, weights of both signs
+    gs = [
+        GMatrix(1, 1, 0, 1),
+        GMatrix(1, 0, 1, 1),
+        GMatrix(2, 1, 3, 2),
+        GMatrix(Fraction(1, 2), Fraction(1, 3), Fraction(3, 2), 3),
+    ]
+    checked = 0
+    for f in _default_fs():
+        for g in gs:
+            for n in range(-3, 4):
+                for m in range(0, 4):
+                    assert slash_derivative_expansion(f, n, m, g) == slash(f, n, g).deriv_n(m), (f, g, n, m)
+                    checked += 1
+    assert checked == 5 * 4 * 7 * 4
