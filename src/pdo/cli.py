@@ -12,6 +12,7 @@ import csv
 import inspect
 import io
 import json
+import os
 import sys
 
 from .errors import ParseError, PDOError
@@ -319,6 +320,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`pdo ... | head`): point stdout at
+        # the null device so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,8 +40,8 @@ class GradedRingSpec(Frozen):
 
     A spec is immutable: elements read their generators' weights through
     it, and it is part of their hash.  It is the coefficient ring of a
-    series over it: ``zero``, ``one``, ``coerce`` and ``sum`` are what the
-    series engine asks of a ring."""
+    series over it: ``zero``, ``one``, ``coerce``, ``sum`` and ``dot`` are
+    what the series engine asks of a ring."""
 
     __slots__ = ("generators", "_index")
 
@@ -110,6 +110,31 @@ class GradedRingSpec(Frozen):
             for m, c in t._num.items():
                 prev = out.get(m)
                 out[m] = c * k if prev is None else prev + c * k
+        return GradedElem._raw(self, out, den)
+
+    def dot(self, pairs: Iterable[tuple["GradedElem", "GradedElem"]]) -> "GradedElem":
+        """The sum of the products x * y over `pairs` of elements of this
+        ring, in one pass: each pair's integer numerators are multiplied
+        straight into one accumulator over a running common denominator, as
+        in ``sum``, and the result is reduced once."""
+        out: dict[Mono, int] = {}
+        den = 1
+        for x, y in pairs:
+            x, y = self.coerce(x), self.coerce(y)
+            d = x._den * y._den
+            if den % d:
+                k = d // gcd(den, d)
+                den *= k
+                for m in out:
+                    out[m] *= k
+            k = den // d
+            right = y._num.items()
+            for m1, c1 in x._num.items():
+                c1 *= k
+                for m2, c2 in right:
+                    m = _mono_mul(m1, m2)
+                    c = out.get(m)
+                    out[m] = c1 * c2 if c is None else c + c1 * c2
         return GradedElem._raw(self, out, den)
 
     @property
@@ -265,15 +290,7 @@ class GradedElem(Frozen):
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
             return GradedElem._raw(self.spec, {m: c * p for m, c in self._num.items()}, self._den * q)
-        other = self.spec.coerce(other)
-        out: dict[Mono, int] = {}
-        right = other._num.items()
-        for m1, c1 in self._num.items():
-            for m2, c2 in right:
-                m = _mono_mul(m1, m2)
-                c = out.get(m)
-                out[m] = c1 * c2 if c is None else c + c1 * c2
-        return GradedElem._raw(self.spec, out, self._den * other._den)
+        return self.spec.dot(((self, other),))
 
     __rmul__ = __mul__
 

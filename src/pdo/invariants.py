@@ -51,28 +51,30 @@ def weight0_derivation(a: GradedElem, chi: GradedElem | None = None) -> GradedEl
 
 
 def u_power(k: int, order: int, ring: GradedRingSpec) -> PDSeries:
-    """(x*chi)^k by the closed multinomial expansion, truncated at `order`:
+    """(x*chi)^k truncated at `order`, by repeated products of
 
-        u^k = sum_n (-1)^n ((k+n)!/k!)
-              sum_{s_1+...+s_k=n} prod_j chi^(s_j)/(s_j+1)!  *  x^{k+n}.
+        u = x*chi = sum_n (-1)^n chi^(n) y^{2+2n}.
+
+    u is truncated at order - 2(k-1), so that each partial power u^j, of
+    valuation 2j, is known to order - 2(k-j) and u^k to `order`.  Every
+    coefficient of u is one monomial, so each product is cheap; the closed
+    multinomial sum over compositions, of C(n+k-1, k-1) products at x^{k+n},
+    is what the tests compare against.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     chi = find_unit_generator(ring, 2)
     if k == 0:
         return PDSeries.one(ring)
-    derivs = [chi]
-    out = {}
-    n = 0
-    while 2 * (k + n) < order:
-        while len(derivs) <= n:
-            derivs.append(derivs[-1].deriv())
-        coef = Fraction((-1) ** n * factorial(k + n), factorial(k))
-        out[2 * (k + n)] = coef * ring.sum(
-            _scaled_product(Fraction(1), s, derivs, ring) for s in compositions(n, k)
-        )
-        n += 1
-    return PDSeries(ring, out, order)
+    if order <= 2 * k:
+        return PDSeries.zero(ring, order)
+    coeffs, c = {}, chi
+    for n in range(2, order - 2 * (k - 1), 2):
+        coeffs[n], c = c, -c.deriv()
+    u = power = PDSeries(ring, coeffs, order - 2 * (k - 1))
+    for _ in range(k - 1):
+        power = series_mul(power, u)
+    return power
 
 
 def _scaled_product(scale: Fraction, t: Sequence[int], derivs: list, ring: GradedRingSpec):
@@ -90,8 +92,12 @@ def g_forms(k: int, n_max: int, ring: GradedRingSpec) -> dict[int, GradedElem]:
     Returned keyed by weight 2n, zeros included; each nonzero entry is
     homogeneous of its key weight.
     """
-    order = 2 * n_max + 1
-    fam = psi_inverse(u_power(k, order, ring), order)
+    return _peel(u_power(k, 2 * n_max + 1, ring), k, n_max)
+
+
+def _peel(power: PDSeries, k: int, n_max: int) -> dict[int, GradedElem]:
+    """The g_{k, 2n} (k <= n <= n_max) of u^k = `power`, known to 2 n_max + 1."""
+    fam = psi_inverse(power, 2 * n_max + 1)
     return {2 * n: fam.component(2 * n) for n in range(k, n_max + 1)}
 
 
@@ -134,7 +140,15 @@ def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRingSpec) ->
         if not x.is_zero() and not x.is_homogeneous(0):
             raise NotHomogeneous(f"coefficient a_{j} must have weight 0")
     m_max = (order - 1) // 2
-    gtabs = {k: g_forms(k, m_max, ring) for k in range(len(a)) if not a[k].is_zero()}
+    # one chain u, u^2, ..., each known to 2 m_max + 1: a product per power
+    u = u_power(1, 2 * m_max + 1, ring)
+    power = PDSeries.one(ring)
+    gtabs = {}
+    for k, ak in enumerate(a):
+        if k:
+            power = series_mul(power, u)
+        if not ak.is_zero():
+            gtabs[k] = _peel(power, k, m_max)
     comps: dict[int, GradedElem] = {}
     if a and not a[0].is_zero():
         comps[0] = a[0]

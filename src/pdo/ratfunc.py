@@ -221,8 +221,8 @@ class RatFunc(Frozen):
     d/dz, and composition with homographies.  Values are immutable.
 
     The class is also the coefficient ring Q(z) of a series (``QZ``): its
-    classmethods ``zero``, ``one``, ``coerce`` and ``sum`` are what the
-    series engine asks of a ring.
+    classmethods ``zero``, ``one``, ``coerce``, ``sum`` and ``dot`` are what
+    the series engine asks of a ring.
     """
 
     __slots__ = ("sc", "nump", "denp")
@@ -331,6 +331,14 @@ class RatFunc(Frozen):
         if count <= 1:  # zero or one term: already canonical
             return cls.const(0) if last is None else last
         return cls._from_int(Fraction(1, L), num, den)
+
+    @classmethod
+    def dot(cls, pairs: Iterable[tuple["RatFunc", "RatFunc"]]) -> "RatFunc":
+        """The sum of the products x * y over `pairs`.  Each product keeps its
+        cross-reduction, which cancels common factors before the sum puts
+        everything over one denominator; fusing the products into the sum
+        would skip that cancellation and let the coefficients swell."""
+        return cls.sum(x * y for x, y in pairs)
 
     def __add__(self, other: "RatFunc | Scalar") -> "RatFunc":
         return RatFunc.sum((self, other))

@@ -6,10 +6,11 @@ even-exponent subring is the x-series ring via x = y^2, whose law
 x^m f = sum_u b_m(u) (2 delta)^u(f) x^{m+u} is the even specialisation.
 
 A coefficient ring is ``QZ`` (the class ``RatFunc``) or a
-``GradedRingSpec``.  The ring gives ``zero``, ``one``, ``coerce`` and
-``sum``; its elements answer ``is_zero``, ``deriv``, ``inverse`` (raising
-``NotAUnit``) and ``deriv_terminates``, which says whether some derivative
-vanishes and so whether a product of exact series is finite.
+``GradedRingSpec``.  The ring gives ``zero``, ``one``, ``coerce``, ``sum``
+and ``dot`` (the sum of the products of pairs); its elements answer
+``is_zero``, ``deriv``, ``inverse`` (raising ``NotAUnit``) and
+``deriv_terminates``, which says whether some derivative vanishes and so
+whether a product of exact series is finite.
 
 Precision contract: ``order = None`` is the EXACT sentinel, meaning every
 omitted coefficient is identically zero.  All other series carry a finite
@@ -19,10 +20,12 @@ terminates; otherwise the engine refuses and asks for a truncation order.
 
 Every accumulation of coefficients (products, series sums, the action, the
 lifts and the invariant expansions built on them) goes through the ring's
-``sum``, which canonicalises once per result: a Q(z) sum is reduced over the
-lcm of its denominators instead of after every addition, and a graded sum
-merges term maps without re-validating canonical monomials.  Series values
-are immutable and hashable: ``coeffs`` is a read-only mapping.
+``sum``, or its ``dot`` when the terms are products, which canonicalises
+once per result: a Q(z) sum is reduced over the lcm of its denominators
+instead of after every addition, a graded sum merges term maps without
+re-validating canonical monomials, and a graded dot multiplies each pair's
+numerators straight into one accumulator without forming the products.
+Series values are immutable and hashable: ``coeffs`` is a read-only mapping.
 
 The inverse is one Newton iteration x <- x + x(1 - q x) at doubling
 precision.  It uses only the ring axioms, so it holds in the skew ring.
@@ -222,7 +225,8 @@ def series_mul(p: PDSeries, q: PDSeries) -> PDSeries:
 
     left = {i: [f] for i, f in p.coeffs.items()}  # a_i(0), a_i(1), ...
     right = {j: [g] for j, g in q.coeffs.items()}  # g, d(g), d^2(g), ...
-    # the products a_i(u) d^u(g) of each exponent, formed only inside its sum
+    # the factor pairs (a_i(u), d^u(g)) of each exponent, multiplied only
+    # inside its ring.dot
     terms: dict[int, list] = {}
     for i, a in left.items():
         for j, b in right.items():
@@ -233,18 +237,35 @@ def series_mul(p: PDSeries, q: PDSeries) -> PDSeries:
                 )
             u = 0
             while exact or i + j + 2 * u < target:
-                if len(a) == u:
-                    a.append(a[-1] * Fraction(-(i + 2 * u - 2), 2 * u))
-                if a[u].is_zero():
+                pair = _chain_pair(i, a, b, u)
+                if pair is None:
                     break
-                if len(b) == u:
-                    b.append(b[-1].deriv())
-                if b[u].is_zero():
-                    break
-                terms.setdefault(i + j + 2 * u, []).append((a[u], b[u]))
+                terms.setdefault(i + j + 2 * u, []).append(pair)
                 u += 1
-    out = {n: ring.sum(x * y for x, y in ts) for n, ts in terms.items()}
+    out = {n: ring.dot(ts) for n, ts in terms.items()}
     return PDSeries(ring, out, EXACT if exact else int(target))
+
+
+def _chain_pair(i: int, a: list, b: list, u: int):
+    """The factors (a_i(u), d^u(g)) of one commutation term, or None once
+    either is zero.
+
+    `a` = [a_i(0), a_i(1), ...] is the left chain of a coefficient f at
+    exponent i, a_i(u) = c_i(u) (-1/2)^u f, extended by the step ratio
+    a_i(u) / a_i(u-1) = -(i+2u-2)/(2u); `b` = [g, d(g), ...] is the
+    derivative chain of a right coefficient g.  Both lists are extended in
+    place as far as `u` needs and never past a zero entry, since every later
+    entry of such a chain is zero too.
+    """
+    while len(a) <= u and not a[-1].is_zero():
+        a.append(a[-1] * Fraction(-(i + 2 * len(a) - 2), 2 * len(a)))
+    if len(a) <= u or a[u].is_zero():
+        return None
+    while len(b) <= u and not b[-1].is_zero():
+        b.append(b[-1].deriv())
+    if len(b) <= u or b[u].is_zero():
+        return None
+    return a[u], b[u]
 
 
 def series_inverse(q: PDSeries, order: int | None = None) -> PDSeries:
@@ -301,7 +322,13 @@ def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
     The caller supplies e with e^2 equal to the leading coefficient (no root
     finding happens in the coefficient ring); the other root is the negation.
     Coefficients are determined one exponent at a time from
-    e_{n-w} = (2e)^{-1} (q_n - h_n), h_n the already-known part of z^2.
+    z_{n-w} = (2e)^{-1} (q_n - h_n), with w = v/2 and h_n the already-known
+    part of the y^n coefficient of z^2: the unknown z_{n-w} enters it only
+    through the two terms z_{n-w} e and e z_{n-w} with u = 0, so h_n is the
+    sum of a_i(u) d^u(z_j) over i + j + 2u = n with z_i and z_j both known.
+    Each coefficient keeps its left and right chains from one exponent to
+    the next, and each h_n is one ``ring.dot``: about the work of a single
+    product z * z.
     """
     if q.is_zero():
         raise BadRoot("zero series has no square-root normal form")
@@ -330,16 +357,23 @@ def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
         result_order = min(result_order, order)
     work = result_order + w
 
-    z = PDSeries.monomial(ring, e, w, result_order)
-    square = series_mul(z, z)
+    z = {w: e}  # the known nonzero coefficients, in ascending exponent order
+    left, right = {w: [e]}, {w: [e]}  # their chains, as in series_mul
     for n in range(2 * w + 1, work):
-        need = q.coeff(n) - square.coeff(n)
-        if need.is_zero():
-            continue
-        t = PDSeries.monomial(ring, two_e_inv * need, n - w, result_order)
-        square = PDSeries.sum(ring, (square, series_mul(z, t), series_mul(t, z), series_mul(t, t)))
-        z = z + t
-    return z
+        pairs = []
+        for i in z:
+            for j in z:
+                if i + j > n:
+                    break
+                if (n - i - j) % 2 == 0:
+                    pair = _chain_pair(i, left[i], right[j], (n - i - j) // 2)
+                    if pair is not None:
+                        pairs.append(pair)
+        need = q.coeff(n) - ring.dot(pairs)
+        if not need.is_zero():
+            z[n - w] = two_e_inv * need
+            left[n - w], right[n - w] = [z[n - w]], [z[n - w]]
+    return PDSeries(ring, z, result_order)
 
 
 def split_even_odd(q: PDSeries) -> tuple[PDSeries, PDSeries]:

@@ -153,6 +153,23 @@ def test_g_table_with_many_parts_exits_0_without_traceback():
     assert data["entries"]["3000"] == {"terms": [{"c": "1/1", "mono": [[0, 0, 1500]]}]}
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    # `pdo ... | head -c 100`: the reader is gone before the first write
+    src = str(Path(pdo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdo.cli", "g-table", "--k", "3", "--nmax", "30"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_rewrite_u(capsys):
     spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True)])
     ring = spec

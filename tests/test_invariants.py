@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from pdo.coeffs import compositions, gamma_tuple
+from pdo.coeffs import compositions, gamma_tuple, gbinom
 from pdo.errors import NotAUnit, NotHomogeneous, NotInvariant
 from pdo.graded import GradedRingSpec, Generator
 from pdo.invariants import (
@@ -18,7 +18,7 @@ from pdo.invariants import (
     v_uniformizer,
     weight0_derivation,
 )
-from pdo.lift import psi, psi_inverse
+from pdo.lift import WeightedFamily, psi, psi_inverse
 from pdo.rankin import rc_bracket
 from pdo.series import PDSeries, series_inverse, series_mul
 
@@ -35,15 +35,40 @@ def test_find_unit_generator():
         find_unit_generator(spec, 3)
 
 
-def test_u_power_vs_fold():
+def closed_u_power(k: int, order: int, ring: GradedRingSpec) -> PDSeries:
+    """(x*chi)^k by the closed multinomial expansion, truncated at `order`:
+
+        u^k = sum_n (-1)^n ((k+n)!/k!)
+              sum_{s_1+...+s_k=n} prod_j chi^(s_j)/(s_j+1)!  *  x^{k+n},
+
+    one product per composition of n into k parts."""
+    c = find_unit_generator(ring, 2)
+    if k == 0:
+        return PDSeries.one(ring)
+    out = {}
+    n = 0
+    while 2 * (k + n) < order:
+        terms = []
+        for s in compositions(n, k):
+            term = ring.one()
+            for sj in s:
+                term = term * F(1, factorial(sj + 1)) * c.deriv_n(sj)
+            terms.append(term)
+        out[2 * (k + n)] = F((-1) ** n * factorial(k + n), factorial(k)) * ring.sum(terms)
+        n += 1
+    return PDSeries(ring, out, order)
+
+
+def test_u_power_matches_closed_formula():
+    # structural equality, order included, down to orders below the valuation
+    for k in range(0, 7):
+        for order in range(0, 26):
+            assert u_power(k, order, GR) == closed_u_power(k, order, GR), (k, order)
     u1 = u_power(1, 20, GR)
     x_chi = series_mul(PDSeries.monomial(GR, 1, 2, 20), PDSeries.monomial(GR, chi, 0))
-    assert u1.agree(x_chi)
+    assert u1 == x_chi
     for n in range(0, 8):
         assert u1.coeff(2 + 2 * n) == (-1) ** n * chi.deriv_n(n)
-    u3 = u_power(3, 16, GR)
-    fold = series_mul(series_mul(u1, u1), u1)
-    assert u3.agree(fold, 16)
     assert u_power(0, 10, GR).coeffs == {0: spec.one()}
 
 
@@ -123,6 +148,31 @@ def test_decompose_even_against_oracle():
         direct = decompose_even(alist, 12, GR)
         oracle = psi_inverse(q, 12)
         assert direct.agree(oracle, 12)
+
+
+def per_k_decompose_even(a, order, ring):
+    """decompose_even with one g_forms call, and so one u^k, per k."""
+    m_max = (order - 1) // 2
+    gtabs = {k: g_forms(k, m_max, ring) for k in range(len(a)) if not a[k].is_zero()}
+    comps = {0: a[0]} if a and not a[0].is_zero() else {}
+    for m in range(1, m_max + 1):
+        acc = ring.sum(
+            F((-1) ** n * factorial(2 * n - 1) * factorial(m - n), factorial(n - 1) * (m + n - 1))
+            * gbinom(m, m - n)
+            * rc_bracket(a[k], g, 0, 2 * n, m - n)
+            for k, gtab in gtabs.items()
+            for n in range(max(k, 1), m + 1)
+            if not (g := gtab.get(2 * n, ring.zero())).is_zero()
+        )
+        comps[2 * m] = F((-1) ** m * factorial(m - 1), factorial(2 * m - 2)) * acc
+    return WeightedFamily(ring, comps)
+
+
+def test_decompose_even_chain_matches_per_k_g_forms():
+    w0 = [spec.one(), spec.gen("chi", 1) * chi**-2, spec.gen("xi") ** 2 * chi**-1, spec.zero()]
+    for a in ([w0[0]], [w0[3], w0[1]], w0, [w0[2], w0[3], w0[3], w0[1], w0[0]]):
+        for order in (1, 2, 7, 12, 13):
+            assert decompose_even(a, order, GR) == per_k_decompose_even(a, order, GR), (len(a), order)
 
 
 def test_decompose_even_examples():

@@ -1,7 +1,8 @@
 """Precision contract over Q(z) and over the graded ring: a series known only
 modulo O(y^N) determines every operation's output below the order the output
 states.  So truncating an input further, or asking for a lower order, may
-lower that order, but never changes a coefficient below it."""
+lower that order, but never changes a coefficient below it.  The online
+square root is also compared with the three-product loop it replaced."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -103,6 +104,43 @@ def test_series_sqrt_precision_qz(q, e, w):
     assert_sqrt_stable(q, e, w)
 
 
+def three_product_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
+    """The square root by keeping z^2 current: each new term t costs the
+    three full products z t, t z and t t."""
+    ring, w = q.ring, q.valuation // 2
+    two_e_inv = (e + e).inverse()
+    result_order = order if q.order is None else q.order - w
+    if order is not None:
+        result_order = min(result_order, order)
+    z = PDSeries.monomial(ring, e, w, result_order)
+    square = series_mul(z, z)
+    for n in range(2 * w + 1, result_order + w):
+        need = q.coeff(n) - square.coeff(n)
+        if need.is_zero():
+            continue
+        t = PDSeries.monomial(ring, two_e_inv * need, n - w, result_order)
+        square = PDSeries.sum(ring, (square, series_mul(z, t), series_mul(t, z), series_mul(t, t)))
+        z = z + t
+    return z
+
+
+def assert_sqrt_matches_three_products(data, q: PDSeries, e, w: int) -> None:
+    """series_sqrt equals the oracle structurally: on q as drawn, with order=,
+    and on q made exact with order=."""
+    q = square_lead(q, e, w)
+    n = data.draw(st.integers(w - 1, q.order - w + 2), label="order=")
+    assert series_sqrt(q, e) == three_product_sqrt(q, e)
+    assert series_sqrt(q, e, order=n) == three_product_sqrt(q, e, order=n)
+    exact = PDSeries(q.ring, q.coeffs)
+    assert series_sqrt(exact, e, order=n) == three_product_sqrt(exact, e, order=n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), truncated_series(), coeffs(), st.integers(-1, 1))
+def test_series_sqrt_matches_three_products_qz(data, q, e, w):
+    assert_sqrt_matches_three_products(data, q, e, w)
+
+
 # -- the graded ring --
 
 SPEC = GradedRingSpec([("chi", 2, True), ("xi", 1, True)])
@@ -164,6 +202,12 @@ def test_graded_series_inverse_precision(q):
 @given(graded_series(), units(), st.integers(-1, 1))
 def test_graded_series_sqrt_precision(q, e, w):
     assert_sqrt_stable(q, e, w)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), graded_series(), units(), st.integers(-1, 1))
+def test_graded_series_sqrt_matches_three_products(data, q, e, w):
+    assert_sqrt_matches_three_products(data, q, e, w)
 
 
 def family_below(fam: WeightedFamily, n: int) -> bool:

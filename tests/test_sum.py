@@ -1,6 +1,7 @@
 """Differential tests of the summation primitive (``RatFunc.sum``,
-``GradedRingSpec.sum``, ``ring.sum``, ``PDSeries.sum``) and of the series
-product built on it, against independent references."""
+``GradedRingSpec.sum``, ``ring.sum``, ``PDSeries.sum``), of its fused form
+``ring.dot``, and of the series product built on them, against independent
+references."""
 
 import math
 import random
@@ -122,6 +123,64 @@ def test_empty_single_and_cancelling_sums():
     assert PDSeries.sum(QZ, [p]) == p
     assert PDSeries.sum(QZ, [p, -p]) == PDSeries.zero(QZ, 6)
     assert PDSeries.sum(QZ, [p, p], 2) == PDSeries(QZ, {-1: 2 * f}, 2)
+
+
+def with_cancelling_pairs(draw, pairs: list) -> list:
+    """`pairs`, or `pairs` followed by their negations, so that the products
+    cancel to zero."""
+    return [*pairs, *((-x, y) for x, y in pairs)] if draw(st.booleans()) else pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ratfunc_dot_is_sum_of_products(data):
+    pairs = with_cancelling_pairs(data.draw, data.draw(st.lists(st.tuples(ratfuncs(), ratfuncs()), max_size=5)))
+    got = RatFunc.dot(pairs)
+    assert stored(got) == stored(RatFunc.sum(x * y for x, y in pairs))
+    assert QZ.dot(iter(pairs)) == got
+
+
+GENS = [spec.gen("chi"), spec.gen("xi"), spec.gen("F"), spec.gen("chi", 1), spec.gen("F", 2), spec.gen("chi") ** -1]
+
+
+@st.composite
+def graded_elems(draw):
+    """Up to three terms over denominators up to 5, so that the pairs' common
+    denominator grows and rescales the accumulator."""
+    out = spec.scalar(draw(st.fractions(-2, 2, max_denominator=5)))
+    for _ in range(draw(st.integers(0, 3))):
+        mono = spec.one()
+        for g in draw(st.lists(st.sampled_from(GENS), min_size=1, max_size=3)):
+            mono = mono * g
+        out = out + draw(st.fractions(-3, 3, max_denominator=5)) * mono
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_graded_dot_is_sum_of_products(data):
+    pairs = with_cancelling_pairs(data.draw, data.draw(st.lists(st.tuples(graded_elems(), graded_elems()), max_size=5)))
+    got = spec.dot(pairs)
+    ref = spec.sum(x * y for x, y in pairs)
+    assert got == ref and (got._num, got._den) == (ref._num, ref._den)
+    assert GR.dot(iter(pairs)) == ref
+    # the validating constructor, from the Fraction coefficients of the products
+    acc: dict = {}
+    for x, y in pairs:
+        for m, c in (x * y).terms.items():
+            acc[m] = acc.get(m, 0) + c
+    assert got == GradedElem(spec, acc)
+
+
+def test_empty_and_cancelling_dots():
+    z = RatFunc.z()
+    f = 1 / (z - 1) + F(2, 3) * z
+    assert stored(RatFunc.dot([])) == stored(RatFunc.const(0))
+    assert stored(RatFunc.dot([(f, z), (-f, z)])) == stored(RatFunc.const(0))
+    e = spec.gen("chi") * F(1, 3) - F(1, 2)
+    assert spec.dot([]) == spec.zero() and spec.dot([])._den == 1
+    assert spec.dot([(e, e), (-e, e)]).terms == {}
+    assert spec.dot([(e, e), (-e, e)])._den == 1
 
 
 def naive_mul(p: PDSeries, q: PDSeries, cap: int = 12) -> PDSeries | None:
