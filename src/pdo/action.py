@@ -11,10 +11,9 @@ all other ways of extending the action from functions to operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .coeffs import omega
 from .errors import NotAUnit, OrderUnresolvable
@@ -55,7 +54,7 @@ def act_y_power(k: int, g: GMatrix, order: int | None = None) -> PDSeries:
     ratio = RatFunc.const(g.c) / s
     terminates = k <= 0 and k % 2 == 0
     if not terminates and order is None:
-        raise OrderUnresolvable("the action on this power of y is an infinite series")
+        raise OrderUnresolvable(f"act_y_power: y^{k} . {g!r} is an infinite series; pass an order")
     out: dict[int, RatFunc] = {}
     u = 0
     ratio_pow = RatFunc.const(1)
@@ -91,8 +90,7 @@ PFunc = Callable[[GMatrix], RatFunc]
 RFunc = Callable[[GMatrix], RatFunc]
 
 
-@dataclass(frozen=True)
-class CocyclePair:
+class CocyclePair(NamedTuple):
     """A candidate extension datum (p, r) for the action on the x-series ring.
 
     p must be a unit-valued 1-cocycle and r must satisfy the twisted additive
@@ -138,8 +136,7 @@ def act_x_inverse_generic(g: GMatrix, cp: CocyclePair) -> PDSeries:
     return PDSeries(QZ, {-2: p, 0: p * cp.r(g)}, EXACT)
 
 
-@dataclass
-class CocycleReport:
+class CocycleReport(NamedTuple):
     ok: bool
     checked_pairs: int
     depth: int

@@ -8,17 +8,12 @@ inline JSON literal, a file path, or '-' for stdin.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
-import inspect
 import io
 import json
 import os
 import sys
 
 from .errors import ParseError, PDOError
-from .invariants import g_forms, rewrite_in_u, v_uniformizer
-from .lift import psi, psi_inverse
-from .rankin import alpha_table, rc_bracket, star
 from .ratfunc import QZ
 from .serialize import (
     coeff_json,
@@ -34,9 +29,6 @@ from .serialize import (
     ring_json,
     series_json,
 )
-from .series import series_inverse, series_mul, series_sqrt
-from .action import act_series, slash
-from .verify import SUITES, run_suite
 
 DEFAULT_SPEC = [["chi", 2, True], ["xi", 1, True]]
 # the parameters of the verification suites; all but the seed are sizes >= 0
@@ -67,6 +59,8 @@ def _emit(obj) -> None:
 
 
 def _emit_csv(rows, header) -> None:
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)
@@ -172,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spec", default=None)
 
     sp = sub.add_parser("verify", help="run an exact verification suite")
-    sp.add_argument("suite", choices=sorted(SUITES))
+    sp.add_argument("suite", help="suite name, in any case; an unknown name lists them")
     for flag in VERIFY_FLAGS:
         sp.add_argument(f"--{flag}", type=int if flag == "seed" else _nonneg_int, default=None)
 
@@ -180,6 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mul(args) -> None:
+    from .series import series_mul
+
     p = parse_series(_load_value(args.p, "p"), "p")
     q = parse_series(_load_value(args.q, "q"), "q")
     if args.order is not None:
@@ -189,40 +185,54 @@ def _cmd_mul(args) -> None:
 
 
 def _cmd_inv(args) -> None:
+    from .series import series_inverse
+
     q = parse_series(_load_value(args.q, "q"), "q")
     _emit(series_json(series_inverse(q, order=args.order)))
 
 
 def _cmd_sqrt(args) -> None:
+    from .series import series_sqrt
+
     q = parse_series(_load_value(args.q, "q"), "q")
     e = parse_coeff(_load_value(args.lead, "--lead"), q.ring, "--lead")
     _emit(series_json(series_sqrt(q, e, order=args.order)))
 
 
 def _cmd_act(args) -> None:
+    from .action import act_series
+
     q = parse_series(_load_value(args.q, "q"), "q")
     g = parse_gmatrix(_load_value(args.matrix, "--matrix"), "--matrix")
     _emit(series_json(act_series(q, g, order=args.order)))
 
 
 def _cmd_slash(args) -> None:
+    from .action import slash
+
     f = parse_ratfunc(_load_value(args.f, "f"), "f")
     g = parse_gmatrix(_load_value(args.matrix, "--matrix"), "--matrix")
     _emit(ratfunc_json(slash(f, args.weight, g)))
 
 
 def _cmd_lift(args) -> None:
+    from .lift import psi
+
     ring = _ring(args)
     f = parse_coeff(_load_value(args.f, "f"), ring, "f")
     _emit(series_json(psi(args.weight, f, args.order, ring=ring)))
 
 
 def _cmd_psi_inv(args) -> None:
+    from .lift import psi_inverse
+
     q = parse_series(_load_value(args.q, "q"), "q")
     _emit(family_json(psi_inverse(q, order=args.order)))
 
 
 def _cmd_star(args) -> None:
+    from .rankin import star
+
     ring = _ring(args)
     f = parse_coeff(_load_value(args.f, "f"), ring, "f")
     g = parse_coeff(_load_value(args.g, "g"), ring, "g")
@@ -230,6 +240,8 @@ def _cmd_star(args) -> None:
 
 
 def _cmd_alpha_table(args) -> None:
+    from .rankin import alpha_table
+
     table = alpha_table(args.k, args.l, args.nmax)
     if args.out == "csv":
         _emit_csv(
@@ -241,6 +253,8 @@ def _cmd_alpha_table(args) -> None:
 
 
 def _cmd_rc(args) -> None:
+    from .rankin import rc_bracket
+
     ring = _ring(args)
     f = parse_coeff(_load_value(args.f, "f"), ring, "f")
     g = parse_coeff(_load_value(args.g, "g"), ring, "g")
@@ -248,6 +262,8 @@ def _cmd_rc(args) -> None:
 
 
 def _cmd_g_table(args) -> None:
+    from .invariants import g_forms
+
     ring = _ring(args)
     table = g_forms(args.k, args.nmax, ring)
     if args.out == "csv":
@@ -264,28 +280,39 @@ def _cmd_g_table(args) -> None:
 
 
 def _cmd_rewrite_u(args) -> None:
+    from .invariants import rewrite_in_u
+
     q = parse_series(_load_value(args.q, "q"), "q")
     coeffs = rewrite_in_u(q, order=args.order)
     _emit([graded_json(a) for a in coeffs])
 
 
 def _cmd_v_uniformizer(args) -> None:
+    from .invariants import v_uniformizer
+
     ring = _ring(args)
     _emit(series_json(v_uniformizer(args.order, ring)))
 
 
 def _cmd_verify(args) -> None:
+    import inspect
+
+    from .verify import SUITES, run_suite
+
+    name = args.suite.upper()
+    if name not in SUITES:
+        raise ParseError(f"suite: unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}")
     params = {
         key: getattr(args, key)
         for key in VERIFY_FLAGS
         if getattr(args, key) is not None
     }
-    takes = inspect.signature(SUITES[args.suite]).parameters
+    takes = inspect.signature(SUITES[name]).parameters
     for key in params:
         if key not in takes:
             known = ", ".join(f"--{k}" for k in takes if k in VERIFY_FLAGS)
-            raise ParseError(f"--{key}: suite {args.suite} takes only {known}")
-    rep = run_suite(args.suite, **params)
+            raise ParseError(f"--{key}: suite {name} takes only {known}")
+    rep = run_suite(name, **params)
     _emit({
         "suite": rep.name,
         "ok": rep.ok,

@@ -9,11 +9,10 @@ it is the homogeneity predicate implemented by ``weight()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import NotAUnit, NotHomogeneous, RingMismatch, ZeroElement
 from .frozen import Frozen
@@ -27,8 +26,7 @@ Mono = tuple[tuple[int, int, int], ...]
 __all__ = ["Generator", "GradedRingSpec", "GradedElem", "GradedRing"]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     weight: int
     invertible: bool = False

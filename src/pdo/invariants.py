@@ -195,7 +195,8 @@ def rewrite_in_u(q: PDSeries, order: int | None = None) -> list[GradedElem]:
         raise NotInvariant("coefficient weights must equal exponents")
     bound = _min_order(q.order, order)
     if bound is None:
-        raise OrderUnresolvable("rewriting in u needs a finite working order")
+        top = max(q.coeffs, default=0)
+        raise OrderUnresolvable(f"rewrite_in_u: an exact series up to y^{top} needs a finite working order")
     u = u_power(1, max(bound, 3), ring)  # u = chi y^2 + O(y^3) at least, so a unit
     uinv = series_inverse(u)
     out: list[GradedElem] = []

@@ -11,11 +11,10 @@ solving the equivariance constraints as an exact linear system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .coeffs import gbinom, lift_coeff, omega
 from .errors import (
@@ -187,16 +186,16 @@ def psi_inverse(q: PDSeries, order: int | None = None) -> WeightedFamily:
         f = current.coeff(m)
         comps[m] = f
         if m > 0 and bound is None:
-            raise OrderUnresolvable("peeling positive weights from an exact series needs an order")
+            raise OrderUnresolvable(f"psi_inverse: peeling weight {m} from an exact series needs an order")
         current = current - psi(m, f, bound, ring=q.ring)
     return WeightedFamily(q.ring, comps, start=0 if not comps else None)
 
 
 def psi_assemble(F: WeightedFamily, order: int | None = None) -> PDSeries:
     """The transfer map: sum_m psi_m(f_m), truncated at `order`."""
-    needs_order = any(m > 0 for m in F.components)
-    if needs_order and order is None:
-        raise OrderUnresolvable("assembling positive weights needs an order")
+    positive = sorted(m for m in F.components if m > 0)
+    if positive and order is None:
+        raise OrderUnresolvable(f"psi_assemble: the lifts at weights {positive} are infinite; pass an order")
     parts = (psi(m, f, order, ring=F.ring) for m, f in F.items() if order is None or m < order)
     return PDSeries.sum(F.ring, parts, order)
 
@@ -306,14 +305,13 @@ def equivariance_residual(
 # -- nonexistence at negative odd weight --
 
 
-@dataclass
-class NegOddReport:
+class NegOddReport(NamedTuple):
     k: int
     order: int
     nullity: int
     forced_zero_prefix: bool
     matches_shifted_lift: bool
-    generators: Sequence[GMatrix] = field(default_factory=list)
+    generators: Sequence[GMatrix] = ()
 
     @property
     def ok(self) -> bool:
@@ -404,4 +402,4 @@ def negodd_nonexistence(
             vec[n] * scale == lift_coeff(2 * k + 1, n - 2 * k)
             for n in range(2 * k, ncols)
         )
-    return NegOddReport(k, order, nullity, forced, matches, list(gens))
+    return NegOddReport(k, order, nullity, forced, matches, tuple(gens))

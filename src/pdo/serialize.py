@@ -7,7 +7,8 @@ a series is {"ring": ..., "val": v, "order": N | "exact", "coeffs": [...]}
 listing coefficients from the valuation upward; a graded element is
 {"terms": [{"c": "p/q", "mono": [[genIndex, derivOrder, exponent], ...]}]}
 in canonical monomial order.  Parsing rejects malformed input with a
-ParseError naming the offending field.
+ParseError naming the offending field.  The graded types are imported
+where they are parsed, so Q(z) input loads no graded module.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
-from .graded import GradedElem, GradedRingSpec, Generator
-from .lift import WeightedFamily
 from .ratfunc import QZ, GMatrix, RatFunc
 from .series import EXACT, PDSeries
 
@@ -103,6 +102,8 @@ def spec_json(spec: GradedRingSpec) -> list:
 
 
 def parse_spec(v: Any, field: str = "generators") -> GradedRingSpec:
+    from .graded import Generator, GradedRingSpec
+
     if not isinstance(v, list) or not v:
         raise ParseError(f"{field}: expected a nonempty list of [name, weight, invertible]")
     gens = []
@@ -144,6 +145,8 @@ def graded_json(e: GradedElem) -> dict:
 
 
 def parse_graded(v: Any, spec: GradedRingSpec, field: str = "elem") -> GradedElem:
+    from .graded import GradedElem
+
     if not isinstance(v, dict) or "terms" not in v:
         raise ParseError(f"{field}: expected an object with 'terms'")
     if not isinstance(v["terms"], list):
@@ -232,6 +235,8 @@ def family_json(F: WeightedFamily) -> dict:
 
 
 def parse_family(v: Any, field: str = "family") -> WeightedFamily:
+    from .lift import WeightedFamily
+
     if not isinstance(v, dict) or "components" not in v or "ring" not in v:
         raise ParseError(f"{field}: expected an object with 'ring' and 'components'")
     ring = parse_ring(v["ring"], f"{field}.ring")

@@ -232,8 +232,8 @@ def series_mul(p: PDSeries, q: PDSeries) -> PDSeries:
         for j, b in right.items():
             if exact and not (i <= 0 and i % 2 == 0 or b[0].deriv_terminates()):
                 raise OrderUnresolvable(
-                    "product of exact series is an infinite series; "
-                    "truncate an operand to a finite order first"
+                    f"series_mul: the product of the exact terms y^{i} and y^{j} is an "
+                    "infinite series; truncate an operand to a finite order first"
                 )
             u = 0
             while exact or i + j + 2 * u < target:

@@ -9,10 +9,9 @@ carry the range and the first counterexample, never an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .coeffs import gbinom, lift_coeff, recip_factorial, rho
 from .ratfunc import QZ, GMatrix, RatFunc, mobius_compose
@@ -22,8 +21,7 @@ from .action import act_series, act_y_power, slash
 __all__ = ["SuiteReport", "run_suite", "SUITES", "slash_derivative_expansion"]
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
     ok: bool
     ranges: str

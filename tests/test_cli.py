@@ -23,6 +23,7 @@ from pdo.serialize import (
     series_json,
 )
 from pdo.series import PDSeries, series_mul
+from pdo.verify import SUITES
 
 z = RatFunc.z()
 
@@ -196,6 +197,14 @@ def test_verify(capsys):
     assert rep["ok"] is True and rep["checked"] == 8
 
 
+def test_verify_suite_names_any_case(capsys):
+    code, out, _ = run(capsys, "verify", "rho", "--umax", "3")
+    assert code == 0 and json.loads(out)["suite"] == "RHO"
+    # an unknown name is a usage error that lists every suite
+    code, _, err = run(capsys, "verify", "NOPE")
+    assert code == 2 and "NOPE" in err and all(name in err for name in SUITES)
+
+
 def test_exit_codes(capsys):
     # domain error: inverting a zero series
     code, _, err = run(capsys, "inv", json.dumps(series_json(PDSeries(QZ, {}, 5))))
@@ -250,6 +259,7 @@ QZ_ONE = '{"num":["1/1"],"den":["1/1"]}'
         (["rc", '{"terms":[]}', '{"terms":{}}', "--k", "1", "--l", "1", "--n", "0", "--ring", "graded"], "g.terms"),
         (["verify", "RHO", "--pmax", "3"], "--pmax"),
         (["verify", "WZ1", "--seed", "2"], "--seed"),
+        (["verify", "NOPE"], "suite"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, field):

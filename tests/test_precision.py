@@ -2,18 +2,22 @@
 modulo O(y^N) determines every operation's output below the order the output
 states.  So truncating an input further, or asking for a lower order, may
 lower that order, but never changes a coefficient below it.  The online
-square root is also compared with the three-product loop it replaced."""
+square root is also compared with the three-product loop it replaced.  An
+exact input whose result is infinite raises OrderUnresolvable, naming the
+operation and its sizes."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdo.action import act_series
+from pdo.action import act_series, act_y_power
+from pdo.errors import OrderUnresolvable
 from pdo.graded import GradedRingSpec
 from pdo.invariants import rewrite_in_u, u_power
 from pdo.lift import psi, psi_assemble, psi_inverse, WeightedFamily
 from pdo.rankin import star
 from pdo.ratfunc import GMatrix, RatFunc
 from pdo import QZ
-from pdo.series import PDSeries, series_inverse, series_mul, series_sqrt
+from pdo.series import EXACT, PDSeries, series_inverse, series_mul, series_sqrt
 
 MATRICES = [GMatrix(1, 1, 0, 1), GMatrix(0, -1, 1, 0), GMatrix(2, 1, 3, 2), GMatrix(1, 2, 1, 3)]
 
@@ -253,3 +257,21 @@ def test_rewrite_in_u_precision(data, order):
 
 def padded(xs: list, k: int) -> list:
     return [*xs, *[0] * k][:k]
+
+
+def test_order_unresolvable_names_the_operation_and_its_sizes():
+    z = RatFunc.z()
+    spec = GradedRingSpec([("chi", 2, True), ("xi", 1, True)])
+    chi = spec.gen("chi")
+    cases = [
+        (lambda: act_y_power(3, GMatrix(1, 0, 2, 1)), ("act_y_power", "y^3", "GMatrix[[1,0],[2,1]]")),
+        (lambda: series_mul(PDSeries(QZ, {3: z}, EXACT), PDSeries(QZ, {-2: 1 / z}, EXACT)),
+         ("series_mul", "y^3", "y^-2")),
+        (lambda: psi_inverse(PDSeries(QZ, {2: z}, EXACT)), ("psi_inverse", "weight 2")),
+        (lambda: psi_assemble(WeightedFamily(QZ, {0: z, 2: z, 4: z})), ("psi_assemble", "[2, 4]")),
+        (lambda: rewrite_in_u(PDSeries(spec, {2: chi, 4: chi * chi}, EXACT)), ("rewrite_in_u", "y^4")),
+    ]
+    for op, parts in cases:
+        with pytest.raises(OrderUnresolvable) as ei:
+            op()
+        assert all(part in str(ei.value) for part in parts), (str(ei.value), parts)
