@@ -27,8 +27,9 @@ re-validating canonical monomials, and a graded dot multiplies each pair's
 numerators straight into one accumulator without forming the products.
 Series values are immutable and hashable: ``coeffs`` is a read-only mapping.
 
-The inverse is one Newton iteration x <- x + x(1 - q x) at doubling
-precision.  It uses only the ring axioms, so it holds in the skew ring.
+The inverse and the square root are solved one exponent at a time, each
+known part one ``ring.dot`` (relaxed evaluation in its naive quadratic form:
+van der Hoeven, "Relax, but don't be too lazy", J. Symb. Comp. 34, 2002).
 """
 
 from __future__ import annotations
@@ -268,18 +269,36 @@ def _chain_pair(i: int, a: list, b: list, u: int):
     return a[u], b[u]
 
 
+def _known_dot(ring, left: dict, right: dict, n: int):
+    """The y^n coefficient of the product of the known coefficients, as one
+    ``ring.dot``.  `left` and `right` map each known exponent, in ascending
+    order, to its chain as in `_chain_pair`, which extends it in place."""
+    pairs = []
+    for i in left:
+        for j in right:
+            if i + j > n:
+                break
+            if (n - i - j) % 2 == 0:
+                pair = _chain_pair(i, left[i], right[j], (n - i - j) // 2)
+                if pair is not None:
+                    pairs.append(pair)
+    return ring.dot(pairs)
+
+
 def series_inverse(q: PDSeries, order: int | None = None) -> PDSeries:
     """Two-sided inverse to truncation: q * inv(q) = 1 + O(y^{N - v}).
 
     The leading coefficient must be a unit.  For a truncated input the
     result has valuation -v and order N - 2v; an EXACT input needs either
-    an explicit result `order` or a terminating monomial shape.
+    an explicit result `order` or a monomial whose inverse y^{-v} f^{-1}
+    is a finite series.
 
-    Newton iteration x <- x + x(1 - q x) from x = f^{-1} y^{-v}, f the
-    leading coefficient: if q x = 1 - e then q(x + x e) = 1 - e^2 by the
-    ring axioms alone, and valuations add (c_i(0) = 1), so each step doubles
-    the precision in the skew ring too.  x is kept exact (a polynomial), so
-    every product is known to the new precision.
+    Solved one exponent at a time from x * q = 1: the unknown x_{n-v}
+    enters the y^n coefficient only as x_{n-v} f with u = 0, f the leading
+    coefficient, so x_{n-v} = -h_n f^{-1} for n >= 1, h_n = `_known_dot`.
+    In this orientation only q's fixed coefficients are differentiated,
+    each once for all n, and a new left chain entry is a rational scaling.
+    A left inverse of a unit is its two-sided inverse.
     """
     if q.is_zero():
         raise NotInvertible("zero series is not invertible")
@@ -291,29 +310,24 @@ def series_inverse(q: PDSeries, order: int | None = None) -> PDSeries:
         raise NotInvertible("leading coefficient is not a unit") from None
 
     if q.order is None and order is None:
-        if len(q.coeffs) == 1:
-            # y^{-v} f^{-1}; stays exact when the commutation terminates
+        if len(q.coeffs) == 1 and (v >= 0 and v % 2 == 0 or f_inv.deriv_terminates()):
             return series_mul(
                 PDSeries.monomial(ring, ring.one(), -v),
                 PDSeries.monomial(ring, f_inv, 0),
             )
         raise OrderUnresolvable(
-            "inverse of an exact non-monomial series is infinite; pass a result order"
+            f"series_inverse: the inverse of the exact series at y^{v} is infinite; "
+            "pass a result order"
         )
 
-    result_order = q.order - 2 * v if q.order is not None else order
-    if order is not None:
-        result_order = min(result_order, order)
-    rel = result_order + v  # relative precision of the unit part
-    if rel <= 0:
-        return PDSeries.zero(ring, result_order)
-
-    x, prec = PDSeries.monomial(ring, f_inv, -v), 1
-    while prec < rel:
-        prec = min(2 * prec, rel)
-        e = PDSeries.one(ring) - series_mul(q.truncate(v + prec), x)
-        x = PDSeries(ring, (x + series_mul(x, e)).coeffs)
-    return x.truncate(result_order)
+    result_order = _min_order(None if q.order is None else q.order - 2 * v, order)
+    left = {-v: [f_inv]}  # the chains of the known coefficients of x
+    right = {j: [c] for j, c in sorted(q.coeffs.items())}
+    for n in range(1, result_order + v):
+        need = _known_dot(ring, left, right, n)
+        if not need.is_zero():
+            left[n - v] = [-need * f_inv]
+    return PDSeries(ring, {j: a[0] for j, a in left.items()}, result_order)
 
 
 def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
@@ -321,14 +335,11 @@ def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
 
     The caller supplies e with e^2 equal to the leading coefficient (no root
     finding happens in the coefficient ring); the other root is the negation.
-    Coefficients are determined one exponent at a time from
-    z_{n-w} = (2e)^{-1} (q_n - h_n), with w = v/2 and h_n the already-known
-    part of the y^n coefficient of z^2: the unknown z_{n-w} enters it only
-    through the two terms z_{n-w} e and e z_{n-w} with u = 0, so h_n is the
-    sum of a_i(u) d^u(z_j) over i + j + 2u = n with z_i and z_j both known.
-    Each coefficient keeps its left and right chains from one exponent to
-    the next, and each h_n is one ``ring.dot``: about the work of a single
-    product z * z.
+    Solved one exponent at a time from z_{n-w} = (2e)^{-1} (q_n - h_n),
+    w = v/2: the unknown z_{n-w} enters the y^n coefficient of z^2 only
+    through z_{n-w} e and e z_{n-w} with u = 0, so h_n, the sum of
+    a_i(u) d^u(z_j) over known z_i, z_j with i + j + 2u = n, is one
+    `_known_dot`: about the work of a single product z * z.
     """
     if q.is_zero():
         raise BadRoot("zero series has no square-root normal form")
@@ -349,31 +360,18 @@ def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
         if len(q.coeffs) == 1 and e.deriv().is_zero():
             return PDSeries.monomial(ring, e, w)
         raise OrderUnresolvable(
-            "square root of an exact series is infinite; pass a result order"
+            f"series_sqrt: the square root of the exact series at y^{v} is infinite; "
+            "pass a result order"
         )
 
-    result_order = q.order - w if q.order is not None else order
-    if order is not None:
-        result_order = min(result_order, order)
-    work = result_order + w
-
-    z = {w: e}  # the known nonzero coefficients, in ascending exponent order
-    left, right = {w: [e]}, {w: [e]}  # their chains, as in series_mul
-    for n in range(2 * w + 1, work):
-        pairs = []
-        for i in z:
-            for j in z:
-                if i + j > n:
-                    break
-                if (n - i - j) % 2 == 0:
-                    pair = _chain_pair(i, left[i], right[j], (n - i - j) // 2)
-                    if pair is not None:
-                        pairs.append(pair)
-        need = q.coeff(n) - ring.dot(pairs)
+    result_order = _min_order(None if q.order is None else q.order - w, order)
+    left, right = {w: [e]}, {w: [e]}  # the chains of the known coefficients
+    for n in range(2 * w + 1, result_order + w):
+        need = q.coeff(n) - _known_dot(ring, left, right, n)
         if not need.is_zero():
-            z[n - w] = two_e_inv * need
-            left[n - w], right[n - w] = [z[n - w]], [z[n - w]]
-    return PDSeries(ring, z, result_order)
+            c = two_e_inv * need
+            left[n - w], right[n - w] = [c], [c]
+    return PDSeries(ring, {j: a[0] for j, a in left.items()}, result_order)
 
 
 def split_even_odd(q: PDSeries) -> tuple[PDSeries, PDSeries]:

@@ -270,6 +270,9 @@ def test_order_unresolvable_names_the_operation_and_its_sizes():
         (lambda: psi_inverse(PDSeries(QZ, {2: z}, EXACT)), ("psi_inverse", "weight 2")),
         (lambda: psi_assemble(WeightedFamily(QZ, {0: z, 2: z, 4: z})), ("psi_assemble", "[2, 4]")),
         (lambda: rewrite_in_u(PDSeries(spec, {2: chi, 4: chi * chi}, EXACT)), ("rewrite_in_u", "y^4")),
+        (lambda: series_inverse(PDSeries(QZ, {1: z}, EXACT)), ("series_inverse", "y^1", "pass a result order")),
+        (lambda: series_inverse(PDSeries(QZ, {0: 1, 3: z}, EXACT)), ("series_inverse", "y^0")),
+        (lambda: series_sqrt(PDSeries(QZ, {2: z * z}, EXACT), z), ("series_sqrt", "y^2", "pass a result order")),
     ]
     for op, parts in cases:
         with pytest.raises(OrderUnresolvable) as ei:

@@ -12,7 +12,8 @@ from pdo.errors import (
     OrderUnresolvable,
     RingMismatch,
 )
-from pdo.graded import GradedRingSpec, Generator
+from pdo.graded import GradedElem, GradedRingSpec, Generator
+from pdo.invariants import u_power
 from pdo.ratfunc import RatFunc
 from pdo import QZ, GradedRing
 from pdo.series import EXACT, PDSeries, series_inverse, series_mul, series_sqrt, split_even_odd
@@ -361,3 +362,57 @@ def test_inverse_short_precision_is_the_zero_series():
     got = series_inverse(q, order=-2)
     assert got == geometric_inverse(q, -2) == PDSeries.zero(QZ, -2)
     assert series_inverse(PDSeries(GR, {-1: chi}), order=1) == PDSeries.zero(GR, 1)
+
+
+def newton_inverse(q, order=None):
+    """The inverse by Newton iteration x <- x + x(1 - q x) at doubling
+    precision from x = f^{-1} y^{-v}: if q x = 1 - e then q(x + x e) = 1 - e^2
+    by the ring axioms alone, so each step doubles the precision."""
+    ring, v = q.ring, q.valuation
+    result_order = order if q.order is None else q.order - 2 * v
+    if order is not None:
+        result_order = min(result_order, order)
+    rel = result_order + v
+    if rel <= 0:
+        return PDSeries.zero(ring, result_order)
+    x, prec = PDSeries.monomial(ring, q.coeffs[v].inverse(), -v), 1
+    while prec < rel:
+        prec = min(2 * prec, rel)
+        e = PDSeries.one(ring) - series_mul(q.truncate(v + prec), x)
+        x = PDSeries(ring, (x + series_mul(x, e)).coeffs)
+    return x.truncate(result_order)
+
+
+def test_inverse_matches_oracles_at_benchmark_sizes():
+    # the qz-swell inverse inputs: dense N = 10 and sparse order 16
+    dense = PDSeries(QZ, {k: 1 / (z - (k - 7)) for k in range(10)}, 10)
+    sparse = PDSeries(QZ, {0: 1, 1: z, 3: 1 / (z - 1), 4: 1 / (z - 2)}, 16)
+    for q in (dense, sparse):
+        assert series_inverse(q) == geometric_inverse(q)
+        assert series_inverse(PDSeries(QZ, q.coeffs), order=q.order) == geometric_inverse(q)
+    # the geometric series is too slow for these: 37 s on u and 11 s on the
+    # graded series on a 2-vCPU host, against 0.06 and 0.7 s for Newton
+    u = u_power(1, 41, spec)
+    inv = series_inverse(u)
+    assert inv == newton_inverse(u) and inv.coeffs == {-2: chi.inverse()} and inv.order == 37
+    chi1, xi1 = spec.gen("chi", 1), spec.gen("xi", 1)
+    g = PDSeries(spec, {0: chi * xi, 1: chi1 + xi * xi, 2: chi * chi1 - xi1 * xi, 4: F(1, 2) * chi1 * xi + chi}, 14)
+    inv = series_inverse(g)
+    assert inv == newton_inverse(g) and len(inv.coeffs) == 14
+    assert max(len(c.terms) for c in inv.coeffs.values()) > 1000
+
+
+def test_inverse_differentiates_only_the_input_coefficients(monkeypatch):
+    # x * q = 1 is solved with the chains of q's fixed coefficients on the
+    # right, so no coefficient of the growing inverse is ever differentiated
+    u = u_power(1, 41, spec)
+    receivers, deriv = [], GradedElem.deriv
+
+    def spy(self):
+        receivers.append(self)
+        return deriv(self)
+
+    monkeypatch.setattr(GradedElem, "deriv", spy)
+    series_inverse(u)
+    chis = {s * spec.gen("chi", j) for j in range(42) for s in (1, -1)}
+    assert receivers and all(r in chis for r in receivers), receivers
