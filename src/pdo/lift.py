@@ -188,7 +188,7 @@ def psi_inverse(q: PDSeries, order: int | None = None) -> WeightedFamily:
         if m > 0 and bound is None:
             raise OrderUnresolvable(f"psi_inverse: peeling weight {m} from an exact series needs an order")
         current = current - psi(m, f, bound, ring=q.ring)
-    return WeightedFamily(q.ring, comps, start=0 if not comps else None)
+    return WeightedFamily(q.ring, comps)
 
 
 def psi_assemble(F: WeightedFamily, order: int | None = None) -> PDSeries:

@@ -121,14 +121,12 @@ def alpha_table(k: int, l: int, n_max: int) -> list[Fraction]:
         # read alpha off the F * G^(n) monomial, then require exact proportionality
         mono = (((0, 0, 1), (1, n, 1)))
         denom = bracket.coefficient(mono)
+        where = f"weights ({k}, {l}), offset {n}, order {order}"
         if denom == 0:
-            raise BracketMismatch(f"bracket [F,G]_{n} vanishes on its pivot monomial")
+            raise BracketMismatch(f"alpha_table: the bracket [F,G]_{n} vanishes on its pivot monomial F*G^({n}) ({where})")
         a = comp.coefficient(mono) / denom
         if comp != a * bracket:
-            raise BracketMismatch(
-                f"component at offset {n} of the star product is not "
-                f"proportional to the bracket (weights {k}, {l})"
-            )
+            raise BracketMismatch(f"alpha_table: the star product is not proportional to the bracket [F,G]_{n} ({where})")
         out.append(a)
     return out
 

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from pdo.errors import EdgeCaseWeightZero, NotHomogeneous
+from pdo import rankin
+from pdo.errors import BracketMismatch, EdgeCaseWeightZero, NotHomogeneous
 from pdo.graded import GradedRingSpec, Generator
 from pdo.lift import WeightedFamily, psi_assemble
 from pdo.rankin import alpha_table, alpha_weight0, rc_bracket, star, star_families, star_via_brackets
@@ -121,6 +122,38 @@ def test_alpha_table_weight_zero_edges():
     assert alpha_weight0(1, 2) == F(-1, 2)
     with pytest.raises(EdgeCaseWeightZero):
         alpha_weight0(1, 0)
+
+
+@pytest.mark.parametrize(
+    "broken,what",
+    [
+        (lambda real, f, g, k, l, n: 0 * real(f, g, k, l, n), "vanishes on its pivot monomial F*G^(0)"),
+        (lambda real, f, g, k, l, n: real(f, g, k, l, n) + f * f.deriv(), "not proportional to the bracket [F,G]_0"),
+    ],
+)
+def test_bracket_mismatch_names_the_table_and_its_sizes(monkeypatch, broken, what):
+    real = rankin.rc_bracket
+    monkeypatch.setattr(rankin, "rc_bracket", lambda *args: broken(real, *args))
+    with pytest.raises(BracketMismatch) as ei:
+        alpha_table(2, 3, 4)
+    msg = str(ei.value)
+    assert msg.startswith("alpha_table:") and what in msg
+    # the weights, the offset and the working order k + l + 2 n_max + 1
+    assert "weights (2, 3), offset 0, order 14" in msg
+
+
+def test_bracket_mismatch_when_the_star_product_is_off(monkeypatch):
+    real = rankin.star
+
+    def star_off(f, g, order):
+        fam = real(f, g, order)
+        comps = dict(fam.components)
+        comps[7] = comps[7] + f * g.deriv()  # the offset-1 component, F*G' term changed
+        return WeightedFamily(fam.ring, comps)
+
+    monkeypatch.setattr(rankin, "star", star_off)
+    with pytest.raises(BracketMismatch, match=r"^alpha_table: the star product .* \(weights \(2, 3\), offset 1, order 10\)$"):
+        alpha_table(2, 3, 2)
 
 
 def test_star_via_brackets_agrees():

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from pdo import verify
+from pdo.coeffs import lift_coeff, recip_factorial, rho
 from pdo.ratfunc import GMatrix, RatFunc, mobius_compose
 from pdo.verify import _default_fs, run_suite, slash_derivative_expansion, SUITES
-from pdo.action import slash
+from pdo.action import act_series, act_y_power, slash
+from pdo.series import series_mul
 
 z = RatFunc.z()
 
@@ -42,6 +46,95 @@ def test_suite_names_exported():
         "RHO", "ODDPROD", "WZ1", "WZ2", "WZ3", "WZ4",
         "BOL", "RECUNEG", "COMMLAW", "GROUPLAW", "ALPHAKU",
     }
+
+
+# (ranges, checked) at the low and high corners of the benchmark's verify mix,
+# recorded before every suite went through one runner: a drift here would
+# change the CLI's JSON, and with it the benchmark digests
+CORNERS = [
+    ("RHO", {"umax": 4}, "1 <= u <= 4", 4),
+    ("RHO", {"umax": 8}, "1 <= u <= 8", 8),
+    ("ODDPROD", {"mmax": 2, "smax": 2}, "0 <= m <= 2, 1 <= s <= 2", 6),
+    ("ODDPROD", {"mmax": 4, "smax": 4}, "0 <= m <= 4, 1 <= s <= 4", 20),
+    ("WZ1", {"pmax": 2}, "1 <= m <= i <= u <= 2", 4),
+    ("WZ1", {"pmax": 4}, "1 <= m <= i <= u <= 4", 20),
+    ("WZ2", {"pmax": 2}, "1 <= m <= u <= 2", 3),
+    ("WZ2", {"pmax": 4}, "1 <= m <= u <= 4", 10),
+    ("WZ3", {"pmax": 2}, "1 <= k,s <= 2, 0 <= r <= s", 28),
+    ("WZ3", {"pmax": 4}, "1 <= k,s <= 4, 0 <= r <= s", 192),
+    ("WZ4", {"pmax": 2}, "1 <= k,s <= 2, 0 <= r <= s", 14),
+    ("WZ4", {"pmax": 4}, "1 <= k,s <= 4, 0 <= r <= s", 72),
+    ("BOL", {"hmax": 1}, "1 <= h <= 1, 5 functions, 3 matrices", 15),
+    ("BOL", {"hmax": 2}, "1 <= h <= 2, 5 functions, 3 matrices", 30),
+    ("RECUNEG", {"kmax": 1, "jmax": 2}, "0 <= k <= 1, 0 <= j <= 2", 6),
+    ("RECUNEG", {"kmax": 2, "jmax": 3}, "0 <= k <= 2, 0 <= j <= 3", 12),
+    ("COMMLAW", {"imax": 1, "order": 6}, "-1 <= i <= 1, order 6", 3),
+    ("COMMLAW", {"imax": 2, "order": 6}, "-2 <= i <= 2, order 6", 5),
+    ("GROUPLAW", {"cases": 1, "order": 6, "seed": 0}, "1 random series, order 6", 2),
+    ("GROUPLAW", {"cases": 2, "order": 6, "seed": 99}, "2 random series, order 6", 4),
+    ("ALPHAKU", {"umax": 2, "kmax": 1}, "0 <= n <= u <= 2, 0 <= k <= 1", 12),
+    ("ALPHAKU", {"umax": 3, "kmax": 2}, "0 <= n <= u <= 3, 0 <= k <= 2", 30),
+]
+
+
+@pytest.mark.parametrize("name,params,ranges,checked", CORNERS)
+def test_passing_reports_are_pinned(name, params, ranges, checked):
+    assert SUITES[name](**params) == (name, True, ranges, checked, None)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("RHO", dict(umax=0)),
+        ("ODDPROD", dict(smax=0)),
+        ("WZ1", dict(pmax=0)),
+        ("WZ2", dict(pmax=0)),
+        ("WZ3", dict(pmax=0)),
+        ("WZ4", dict(pmax=0)),
+        ("BOL", dict(hmax=0)),
+        ("GROUPLAW", dict(cases=0)),
+    ],
+)
+def test_empty_range_fails_when_called_directly(name, params):
+    # not only through run_suite: the exported table holds the same rule
+    rep = SUITES[name](**params)
+    assert not rep and rep.checked == 0
+    assert "nothing was checked" in rep.counterexample
+    assert rep == run_suite(name, **params)
+
+
+# one name per suite, patched so that its identity breaks, and the label the
+# first failing case starts with
+BREAKS = [
+    ("RHO", dict(umax=4), "rho", lambda u: 2 * rho(u), "u="),
+    ("ODDPROD", dict(mmax=2, smax=2), "factorial", lambda n: factorial(n) + 1, "(m,s)="),
+    ("WZ1", dict(pmax=3), "recip_factorial", lambda n: recip_factorial(n) * (n + 1), "(u,m,i)="),
+    ("WZ2", dict(pmax=3), "recip_factorial", lambda n: recip_factorial(n) * (n + 1), "(u,m)="),
+    ("WZ3", dict(pmax=2), "recip_factorial", lambda n: recip_factorial(n) * (n + 1), "(k,s,r,j)="),
+    ("WZ4", dict(pmax=2), "recip_factorial", lambda n: recip_factorial(n) * (n + 1), "(k,s,r)="),
+    ("BOL", dict(hmax=2), "slash", lambda f, n, g: slash(f, n + 1, g), "h="),
+    ("RECUNEG", dict(kmax=1, jmax=2), "act_y_power", lambda n, g, order: act_y_power(n, g, order).scale_left(n), "(k,j)="),
+    ("COMMLAW", dict(imax=1, order=6), "series_mul", lambda p, q: series_mul(q, p), "i="),
+    ("GROUPLAW", dict(cases=2, order=6), "act_series", lambda q, g: act_series(q, g) + q, "case "),
+    ("ALPHAKU", dict(umax=2, kmax=1), "lift_coeff", lambda m, n: lift_coeff(m, n) * (n + 1), "(k,u,n)="),
+]
+
+
+@pytest.mark.parametrize("name,params,target,broken,label", BREAKS)
+def test_failed_report_keeps_ranges_and_names_the_case(monkeypatch, name, params, target, broken, label):
+    good = SUITES[name](**params)
+    assert good.ok
+    monkeypatch.setattr(verify, target, broken)
+    bad = SUITES[name](**params)
+    assert not bad and bad.name == name and 1 <= bad.checked <= good.checked
+    assert bad.ranges == good.ranges
+    assert bad.counterexample.startswith(label) and " != " in bad.counterexample
+    assert bad == run_suite(name, **params)
+
+
+def test_counterexample_prints_both_sides(monkeypatch):
+    monkeypatch.setattr(verify, "rho", lambda u: 2 * rho(u))
+    assert run_suite("RHO", umax=3).counterexample == "u=1: 4 != 1"
 
 
 def test_slash_derivative_expansion_positive_weights():
