@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations as _combinations
 from itertools import product as _cartesian
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .errors import EdgeCaseA1, NegativeOddWeight
@@ -146,20 +146,16 @@ def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
-def _bounded_compositions(total: int, bounds: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    """Tuples b with sum(b) == total and 0 <= b_j <= bounds[j]."""
-    for b in _cartesian(*(range(t + 1) for t in bounds)):
-        if sum(b) == total:
-            yield b
-
-
 def gamma_tuple(k: int, i: int, t: Sequence[int], method: str = "A2") -> Fraction:
     """Tuple coefficient gamma_i(t_1, ..., t_k) of the invariant power expansion.
 
     Method "A2" (valid for every k >= 1) evaluates
 
         gamma_i(t) = sum_{r=0}^{i} (-1)^r (2k+2i-2-r)!/(k+i-1-r)!
-                     * sum_{b_1+...+b_k=r, 0<=b_j<=t_j} prod_j C(t_j+1, b_j).
+                     * sum_{b_1+...+b_k=r, 0<=b_j<=t_j} prod_j C(t_j+1, b_j),
+
+    with each inner sum read off one integer polynomial product, as the x^r
+    coefficient of prod_j sum_{b<=t_j} C(t_j+1, b) x^b.
 
     Method "A1" evaluates the Kronecker-delta form
 
@@ -175,18 +171,16 @@ def gamma_tuple(k: int, i: int, t: Sequence[int], method: str = "A2") -> Fractio
     if sum(t) != i:
         raise ValueError("entries of t must sum to i")
     if method == "A2":
-        acc = Fraction(0)
-        for r in range(i + 1):
-            inner = Fraction(0)
-            for b in _bounded_compositions(r, t):
-                term = Fraction(1)
-                for tj, bj in zip(t, b):
-                    term *= gbinom(tj + 1, bj)
-                inner += term
-            acc += (-1) ** r * Fraction(
-                factorial(2 * k + 2 * i - 2 - r), factorial(k + i - 1 - r)
-            ) * inner
-        return acc
+        poly = [1]
+        for tj in t:
+            prev, poly = poly, [0] * (len(poly) + tj)
+            for a, pa in enumerate(prev):
+                for b in range(tj + 1):
+                    poly[a + b] += pa * comb(tj + 1, b)
+        return Fraction(sum(
+            (-1) ** r * factorial(2 * k + 2 * i - 2 - r) // factorial(k + i - 1 - r) * c
+            for r, c in enumerate(poly)
+        ))
     if method == "A1":
         if k < 2:
             raise EdgeCaseA1("method A1 requires k >= 2")

@@ -11,16 +11,18 @@ uniformises the full invariant ring.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
-from typing import Sequence
+from itertools import accumulate, chain, islice, repeat
+from math import factorial, prod
+from typing import Iterator, Sequence
 
-from .coeffs import compositions, gamma_tuple, gbinom
+from .coeffs import gamma_tuple, gbinom
 from .errors import NotAUnit, NotHomogeneous, NotInvariant, OrderUnresolvable
 from .graded import GradedElem, GradedRingSpec
 from .lift import WeightedFamily, psi_inverse
 from .rankin import rc_bracket
-from .series import PDSeries, _min_order, series_inverse, series_mul, series_sqrt
+from .series import PDSeries, _min_order, series_mul, series_sqrt
 
 __all__ = [
     "find_unit_generator",
@@ -50,40 +52,32 @@ def weight0_derivation(a: GradedElem, chi: GradedElem | None = None) -> GradedEl
     return -(chi.inverse() * a.deriv())
 
 
+def _u_powers(order: int, ring: GradedRingSpec) -> Iterator[PDSeries]:
+    """1, u, u^2, ... by repeated products, with
+
+        u = x*chi = sum_n (-1)^n chi^(n) y^{2+2n}
+
+    truncated at `order`, so that u^j, of valuation 2j, is known to
+    order + 2(j-1).  Every coefficient of u is one monomial, so each product
+    is cheap; u^{j+1} is formed only when it is asked for.
+    """
+    coeffs, c = {}, find_unit_generator(ring, 2)
+    for n in range(2, order, 2):
+        coeffs[n], c = c, -c.deriv()
+    return chain([PDSeries.one(ring)], accumulate(repeat(PDSeries(ring, coeffs, order)), series_mul))
+
+
 def u_power(k: int, order: int, ring: GradedRingSpec) -> PDSeries:
-    """(x*chi)^k truncated at `order`, by repeated products of
-
-        u = x*chi = sum_n (-1)^n chi^(n) y^{2+2n}.
-
-    u is truncated at order - 2(k-1), so that each partial power u^j, of
-    valuation 2j, is known to order - 2(k-j) and u^k to `order`.  Every
-    coefficient of u is one monomial, so each product is cheap; the closed
-    multinomial sum over compositions, of C(n+k-1, k-1) products at x^{k+n},
-    is what the tests compare against.
+    """(x*chi)^k truncated at `order`: the k-th power of u truncated at
+    order - 2(k-1), in k-1 products.  The closed multinomial sum over
+    compositions, of C(n+k-1, k-1) products at x^{k+n}, is the tests' oracle.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    chi = find_unit_generator(ring, 2)
-    if k == 0:
-        return PDSeries.one(ring)
-    if order <= 2 * k:
+    powers = _u_powers(order - 2 * (k - 1), ring)
+    if k and order <= 2 * k:
         return PDSeries.zero(ring, order)
-    coeffs, c = {}, chi
-    for n in range(2, order - 2 * (k - 1), 2):
-        coeffs[n], c = c, -c.deriv()
-    u = power = PDSeries(ring, coeffs, order - 2 * (k - 1))
-    for _ in range(k - 1):
-        power = series_mul(power, u)
-    return power
-
-
-def _scaled_product(scale: Fraction, t: Sequence[int], derivs: list, ring: GradedRingSpec):
-    """scale * prod_j chi^(t_j)/(t_j+1)!, with derivs[j] = chi^(j)."""
-    term = ring.one()
-    for tj in t:
-        term = term * derivs[tj]
-        scale /= factorial(tj + 1)
-    return scale * term
+    return next(islice(powers, k, None))
 
 
 def g_forms(k: int, n_max: int, ring: GradedRingSpec) -> dict[int, GradedElem]:
@@ -101,28 +95,47 @@ def _peel(power: PDSeries, k: int, n_max: int) -> dict[int, GradedElem]:
     return {2 * n: fam.component(2 * n) for n in range(k, n_max + 1)}
 
 
+def _partitions(n: int, parts: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Nonincreasing tuples of at most `parts` positive integers <= top that
+    sum to n; each level of recursion takes one part."""
+    if n == 0:
+        yield ()
+    elif parts:
+        for first in range(min(n, top), -(-n // parts) - 1, -1):
+            for rest in _partitions(n - first, parts - 1, first):
+                yield (first, *rest)
+
+
 def g_closed(k: int, i: int, ring: GradedRingSpec) -> GradedElem:
     """Closed form of g_{k, 2k+2i} via the tuple coefficients:
 
         g_{k,2k+2i} = (-1)^i ((k+i)!(k+i-1)!/((2k+2i-2)! k!))
                       sum_{t_1+...+t_k=i} gamma_i(t) prod_j chi^(t_j)/(t_j+1)!.
+
+    Both factors of the sum are symmetric in t, so it runs over the
+    partitions of i into at most k parts, padded with zeros to k entries,
+    each weighted by its number of orderings k!/prod_v m_v!.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if i < 0:
+        raise ValueError("i must be >= 0")
     chi = find_unit_generator(ring, 2)
     derivs = [chi]
     while len(derivs) <= i:
         derivs.append(derivs[-1].deriv())
-    total = ring.sum(
-        _scaled_product(gamma, t, derivs, ring)
-        for t in compositions(i, k)
-        if (gamma := gamma_tuple(k, i, t, "A2")) != 0
-    )
+    terms = []
+    for part in _partitions(i, k, i):
+        t = part + (0,) * (k - len(part))
+        if gamma := gamma_tuple(k, i, t, "A2"):
+            orderings = factorial(k) // prod(map(factorial, Counter(t).values()))
+            scale = gamma * orderings / prod(factorial(tj + 1) for tj in t)
+            terms.append(scale * prod((derivs[tj] for tj in t), start=ring.one()))
     pref = Fraction(
         (-1) ** i * factorial(k + i) * factorial(k + i - 1),
         factorial(2 * k + 2 * i - 2) * factorial(k),
     )
-    return pref * total
+    return pref * ring.sum(terms)
 
 
 def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRingSpec) -> WeightedFamily:
@@ -140,15 +153,8 @@ def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRingSpec) ->
         if not x.is_zero() and not x.is_homogeneous(0):
             raise NotHomogeneous(f"coefficient a_{j} must have weight 0")
     m_max = (order - 1) // 2
-    # one chain u, u^2, ..., each known to 2 m_max + 1: a product per power
-    u = u_power(1, 2 * m_max + 1, ring)
-    power = PDSeries.one(ring)
-    gtabs = {}
-    for k, ak in enumerate(a):
-        if k:
-            power = series_mul(power, u)
-        if not ak.is_zero():
-            gtabs[k] = _peel(power, k, m_max)
+    powers = zip(a, _u_powers(2 * m_max + 1, ring))
+    gtabs = {k: _peel(power, k, m_max) for k, (ak, power) in enumerate(powers) if not ak.is_zero()}
     comps: dict[int, GradedElem] = {}
     if a and not a[0].is_zero():
         comps[0] = a[0]
@@ -184,7 +190,9 @@ def rewrite_in_u(q: PDSeries, order: int | None = None) -> list[GradedElem]:
     """Expand an invariant q = sum_k a_k u^k and return (a_0, a_1, ...).
 
     Requires even support, valuation >= 0 and weight-homogeneity; each a_k is
-    a weight-0 element.  Peeling right-multiplies by the inverse of u.
+    a weight-0 element.  Peeling on the left, a_k = [y^{2k}](q - sum_{j<k}
+    a_j u^j) chi^{-k}, needs u^k only to the working order, and never the
+    inverse of u.
     """
     ring = q.ring
     if not isinstance(ring, GradedRingSpec):
@@ -197,23 +205,17 @@ def rewrite_in_u(q: PDSeries, order: int | None = None) -> list[GradedElem]:
     if bound is None:
         top = max(q.coeffs, default=0)
         raise OrderUnresolvable(f"rewrite_in_u: an exact series up to y^{top} needs a finite working order")
-    u = u_power(1, max(bound, 3), ring)  # u = chi y^2 + O(y^3) at least, so a unit
-    uinv = series_inverse(u)
+    chi = find_unit_generator(ring, 2)
     out: list[GradedElem] = []
     current = q.truncate(bound)
-    k = 0
-    while 2 * k < bound:
-        a = current.coeff(0)
-        out.append(a)
-        current = series_mul(current - PDSeries.monomial(ring, a, 0), uinv)
-        k += 1
+    for k, power in zip(range((bound + 1) // 2), _u_powers(bound, ring)):
+        out.append(current.coeff(2 * k) * chi**-k)
+        current = current - power.scale_left(out[-1])
         if current.is_zero():
             break
     while out and out[-1].is_zero():
         out.pop()
-    if not out:
-        out = [ring.zero()]
-    return out
+    return out or [ring.zero()]
 
 
 def v_uniformizer(order: int, ring: GradedRingSpec) -> PDSeries:

@@ -41,12 +41,16 @@ class SuiteReport(NamedTuple):
 
 def _run(name: str, ranges: str, cases: Iterable[tuple[str, object, object]]) -> SuiteReport:
     """Count each case (label, lhs, rhs) and compare its sides exactly.  The
-    first mismatch fails the suite as "label: lhs != rhs"; so does a run that
-    checked nothing."""
+    first mismatch fails the suite as "label: lhs != rhs", narrowed for two
+    series of one order to "label, y^n: ..." at their least differing n; so
+    does a run that checked nothing."""
     checked = 0
     for label, lhs, rhs in cases:
         checked += 1
         if lhs != rhs:
+            if isinstance(lhs, PDSeries) and isinstance(rhs, PDSeries) and lhs.order == rhs.order:
+                n = min(n for n in {*lhs.coeffs, *rhs.coeffs} if lhs.coeff(n) != rhs.coeff(n))
+                label, lhs, rhs = f"{label}, y^{n}", lhs.coeff(n), rhs.coeff(n)
             return SuiteReport(name, False, ranges, checked, f"{label}: {lhs} != {rhs}")
     if not checked:
         return SuiteReport(name, False, ranges, 0, "the range is empty: nothing was checked")

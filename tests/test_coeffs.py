@@ -1,6 +1,6 @@
 from fractions import Fraction as F
-from itertools import islice
-from math import comb, factorial
+from itertools import islice, product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +184,29 @@ def test_gamma_tuple_validates_input():
         gamma_tuple(2, 1, (1, 1), "A2")
     with pytest.raises(ValueError):
         gamma_tuple(2, 1, (1,), "A2")
+
+
+def bounded_gamma(k, i, t):
+    """gamma_tuple's "A2" sum with its inner sum over every tuple b with
+    0 <= b_j <= t_j and sum(b) = r."""
+    return sum(
+        (-1) ** r
+        * F(factorial(2 * k + 2 * i - 2 - r), factorial(k + i - 1 - r))
+        * sum(
+            prod(comb(tj + 1, bj) for tj, bj in zip(t, b))
+            for b in product(*(range(tj + 1) for tj in t))
+            if sum(b) == r
+        )
+        for r in range(i + 1)
+    )
+
+
+def test_gamma_tuple_a2_matches_bounded_tuples():
+    for k in range(1, 6):
+        for i in range(0, 9):
+            for t in compositions(i, k):
+                got = gamma_tuple(k, i, t, "A2")
+                assert got == bounded_gamma(k, i, t) and isinstance(got, F), (k, i, t)
 
 
 def recursive_compositions(total, parts):

@@ -1,12 +1,13 @@
 import random
+import time
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from pdo.coeffs import compositions, gamma_tuple, gbinom
 from pdo.errors import NotAUnit, NotHomogeneous, NotInvariant
-from pdo.graded import GradedRingSpec, Generator
+from pdo.graded import GradedElem, GradedRingSpec, Generator
 from pdo.invariants import (
     decompose_even,
     find_unit_generator,
@@ -115,11 +116,45 @@ def test_g_offset8_closed_form_corrected_prefactor():
 
 
 def test_g_closed_matches_g_forms():
-    for k in range(1, 6):
-        gt = g_forms(k, k + 6, GR)
-        for i in range(0, 7):
+    for k in range(1, 7):
+        gt = g_forms(k, k + 10, GR)
+        for i in range(0, 11):
             assert g_closed(k, i, GR) == gt[2 * (k + i)], (k, i)
     assert g_closed(3, 0, GR) == chi**3
+
+
+def composition_g_closed(k: int, i: int, ring: GradedRingSpec) -> GradedElem:
+    """g_{k,2k+2i} summed over every composition t of i into k parts:
+
+        (-1)^i ((k+i)!(k+i-1)!/((2k+2i-2)! k!)) sum_t gamma_i(t) prod_j chi^(t_j)/(t_j+1)!."""
+    c = find_unit_generator(ring, 2)
+    total = ring.sum(
+        gamma_tuple(k, i, t, "A2") * prod(F(1, factorial(tj + 1)) * c.deriv_n(tj) for tj in t)
+        for t in compositions(i, k)
+    )
+    pref = F((-1) ** i * factorial(k + i) * factorial(k + i - 1), factorial(2 * k + 2 * i - 2) * factorial(k))
+    return pref * total
+
+
+def test_g_closed_matches_composition_sum():
+    # one term per partition, weighted by its orderings, against one per composition
+    for k in range(1, 6):
+        for i in range(0, 9 - k):
+            assert g_closed(k, i, GR) == composition_g_closed(k, i, GR), (k, i)
+
+
+@pytest.mark.parametrize("k,i", [(3, -1), (1, -1), (2, -3)])
+def test_g_closed_rejects_negative_i(k, i):
+    with pytest.raises(ValueError, match="i must be >= 0"):
+        g_closed(k, i, GR)
+
+
+def test_g_closed_at_k6_i12_is_fast():
+    # the composition sum took 36 s here; the partition sum has 58 terms
+    start = time.perf_counter()
+    g = g_closed(6, 12, GR)
+    assert time.perf_counter() - start < 1.0
+    assert g.is_homogeneous(2 * (6 + 12))
 
 
 def test_u_power_leading_coefficient():
@@ -301,6 +336,76 @@ def test_g_table_star_recursion():
                     continue
                 acc = acc + alpha_table(2 * n, 2, m)[m] * rc_bracket(g, chi, 2 * n, 2, m)
             assert acc == gk1.get(2 * r, GR.zero()), (k, r)
+
+
+def inverse_rewrite_in_u(q: PDSeries, order: int | None = None) -> list:
+    """rewrite_in_u by right-multiplying with the inverse of u after each
+    peeled coefficient, with u kept a unit by working to order 3 at least."""
+    bound = q.order if order is None else min(q.order, order)
+    uinv = series_inverse(u_power(1, max(bound, 3), q.ring))
+    out, current = [], q.truncate(bound)
+    while 2 * len(out) < bound:
+        out.append(current.coeff(0))
+        current = series_mul(current - PDSeries.monomial(q.ring, out[-1], 0), uinv)
+        if current.is_zero():
+            break
+    while out and out[-1].is_zero():
+        out.pop()
+    return out or [q.ring.zero()]
+
+
+def seeded_u_sum(seed: int, order: int) -> PDSeries:
+    """sum_k a_k u^k with four weight-0 a_k = +-1 +- chi' chi^-2 +- xi^2 chi^-1."""
+    rnd = random.Random(seed)
+    shapes = (spec.one(), spec.gen("chi", 1) * chi**-2, xi**2 * chi**-1)
+    a = [sum((rnd.choice((-1, 1)) * m for m in shapes), spec.zero()) for _ in range(4)]
+    return PDSeries.sum(GR, [u_power(k, order, GR).scale_left(ak) for k, ak in enumerate(a)], order)
+
+
+def test_rewrite_in_u_matches_inverse_route():
+    for order in range(1, 26):
+        q = seeded_u_sum(order, order)
+        assert rewrite_in_u(q) == inverse_rewrite_in_u(q), order
+        for n in {1, 2, order // 2, order - 1} - {0}:
+            assert rewrite_in_u(q.truncate(n)) == inverse_rewrite_in_u(q.truncate(n)), (order, n)
+            assert rewrite_in_u(q, order=n) == inverse_rewrite_in_u(q, order=n), (order, n)
+    for order in (3, 8, 13):
+        q = psi(2, chi, order, ring=GR)
+        assert rewrite_in_u(q) == inverse_rewrite_in_u(q), order
+    for k in range(0, 5):
+        for order in (1, 2, 5, 9, 14, 21):
+            q = u_power(k, order, GR)
+            if not q.is_exact():
+                assert rewrite_in_u(q) == inverse_rewrite_in_u(q), (k, order)
+
+
+def test_rewrite_in_u_never_inverts_u(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("series_inverse called")
+
+    monkeypatch.setattr("pdo.series.series_inverse", refuse)
+    monkeypatch.setattr("pdo.invariants.series_inverse", refuse, raising=False)
+    q = seeded_u_sum(3, 23)
+    assert len(rewrite_in_u(q)) == 4
+    # known only to O(y^2): u is not a unit at that order, and none is needed
+    assert rewrite_in_u(PDSeries(GR, {0: spec.one()}, 2)) == [spec.one()]
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_u_power_takes_k_minus_1_products(monkeypatch, k):
+    calls = []
+
+    def counting(p, q):
+        calls.append(1)
+        return series_mul(p, q)
+
+    monkeypatch.setattr("pdo.invariants.series_mul", counting)
+    assert u_power(k, 2 * k + 9, GR) == closed_u_power(k, 2 * k + 9, GR)
+    assert len(calls) == k - 1
+    calls.clear()
+    # decompose_even's chain 1, u, ..., u^{k-1}: u itself is not a product
+    decompose_even([spec.one()] * k, 9, GR)
+    assert len(calls) == max(k - 2, 0)
 
 
 def test_rewrite_in_u_needs_finite_order():

@@ -132,6 +132,33 @@ def test_failed_report_keeps_ranges_and_names_the_case(monkeypatch, name, params
     assert bad == run_suite(name, **params)
 
 
+@pytest.mark.parametrize(
+    "name,params,target,broken",
+    [
+        ("COMMLAW", dict(imax=2), "series_mul", lambda p, q: series_mul(q, p)),
+        ("GROUPLAW", dict(cases=1, order=12), "act_series", lambda q, g: act_series(q, g) + q),
+    ],
+)
+def test_series_counterexample_names_the_first_differing_exponent(monkeypatch, name, params, target, broken):
+    sides = []
+
+    def first_mismatch(suite, ranges, cases):
+        cases = list(cases)
+        sides.append(next((lhs, rhs) for _, lhs, rhs in cases if lhs != rhs))
+        return run(suite, ranges, cases)
+
+    run = verify._run
+    monkeypatch.setattr(verify, target, broken)
+    monkeypatch.setattr(verify, "_run", first_mismatch)
+    bad = SUITES[name](**params)
+    (lhs, rhs), = sides
+    label, _, pair = bad.counterexample.partition(": ")
+    n = int(label.rpartition(", y^")[2])
+    assert lhs.coeff(n) != rhs.coeff(n) and lhs.agree(rhs, n)
+    assert pair == f"{lhs.coeff(n)} != {rhs.coeff(n)}"
+    assert len(bad.counterexample) < len(str(lhs))
+
+
 def test_counterexample_prints_both_sides(monkeypatch):
     monkeypatch.setattr(verify, "rho", lambda u: 2 * rho(u))
     assert run_suite("RHO", umax=3).counterexample == "u=1: 4 != 1"
