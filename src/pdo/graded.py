@@ -297,12 +297,13 @@ class GradedElem(Frozen):
             return self.inverse() ** (-n)
         out = self.spec.one()
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -52,19 +52,22 @@ def weight0_derivation(a: GradedElem, chi: GradedElem | None = None) -> GradedEl
     return -(chi.inverse() * a.deriv())
 
 
-def _u_powers(order: int, ring: GradedRingSpec) -> Iterator[PDSeries]:
+def _u_powers(order: int, ring: GradedRingSpec, read: int | None = None) -> Iterator[PDSeries]:
     """1, u, u^2, ... by repeated products, with
 
         u = x*chi = sum_n (-1)^n chi^(n) y^{2+2n}
 
     truncated at `order`, so that u^j, of valuation 2j, is known to
-    order + 2(j-1).  Every coefficient of u is one monomial, so each product
-    is cheap; u^{j+1} is formed only when it is asked for.
+    min(order + 2(j-1), read); `read`, the order the caller reads, defaults
+    to `order`.  Each product is formed only to `read`, and only when it is
+    asked for; every coefficient of u is one monomial, so each is cheap.
     """
+    read = order if read is None else read
     coeffs, c = {}, find_unit_generator(ring, 2)
     for n in range(2, order, 2):
         coeffs[n], c = c, -c.deriv()
-    return chain([PDSeries.one(ring)], accumulate(repeat(PDSeries(ring, coeffs, order)), series_mul))
+    step = lambda power, u: series_mul(power.truncate(read - 2), u)
+    return chain([PDSeries.one(ring)], accumulate(repeat(PDSeries(ring, coeffs, order)), step))
 
 
 def u_power(k: int, order: int, ring: GradedRingSpec) -> PDSeries:
@@ -74,7 +77,7 @@ def u_power(k: int, order: int, ring: GradedRingSpec) -> PDSeries:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    powers = _u_powers(order - 2 * (k - 1), ring)
+    powers = _u_powers(order - 2 * (k - 1), ring, order)
     if k and order <= 2 * k:
         return PDSeries.zero(ring, order)
     return next(islice(powers, k, None))

@@ -1,12 +1,13 @@
 """Rankin-Cohen brackets and the transferred star product.
 
-The star product of two homogeneous coefficients is computed by lifting both
-to operator series, multiplying, and peeling the product back into a weighted
-family.  Every component is a rational multiple of the corresponding bracket;
-the universal multipliers alpha_n(k, l) are extracted by running the product
-on free generators and solving against the bracket -- a failed
-proportionality is a hard error, since it would falsify the transfer at the
-working truncation.
+The star product of two homogeneous coefficients is the peeled product of
+their lifts.  Each component is a universal bilinear differential
+expression in the two factors, fixed by their weights, so it is computed
+once on free generators F, G of those weights and evaluated at the actual
+factors.  Every component is a rational multiple of the corresponding
+bracket; the universal multipliers alpha_n(k, l) are read off the same free
+product by solving against the bracket -- a failed proportionality is a
+hard error, since it would falsify the transfer at the working truncation.
 """
 
 from __future__ import annotations
@@ -40,12 +41,7 @@ def rc_bracket(f, g, k: int, l: int, n: int):
     """
     if n < 0:
         raise ValueError(f"bracket index must be >= 0, got {n}")
-    derivs_f = [f]
-    for _ in range(n):
-        derivs_f.append(derivs_f[-1].deriv())
-    derivs_g = [g]
-    for _ in range(n):
-        derivs_g.append(derivs_g[-1].deriv())
+    derivs_f, derivs_g = _derivs(f, n), _derivs(g, n)
     return ring_of(f).sum(
         (-1) ** j
         * gbinom(k + n - 1, n - j)
@@ -55,15 +51,47 @@ def rc_bracket(f, g, k: int, l: int, n: int):
     )
 
 
-def star(f: GradedElem, g: GradedElem, order: int) -> WeightedFamily:
-    """f * g = (peel)(psi_k(f) . psi_l(g)) as a weighted family from k + l."""
+def star(f: GradedElem, g: GradedElem, order: int | None) -> WeightedFamily:
+    """f * g = (peel)(psi_k(f) . psi_l(g)) as a weighted family from k + l.
+
+    Component k + l + 2n is a universal bilinear expression
+    sum_{a+b=n} beta(a, b) f^(a) g^(b), fixed by (k, l) alone.  It is read off
+    the star product of free generators F, G of weights k, l and evaluated at
+    (f, g): sending F -> f, G -> g is a differential-ring homomorphism, which
+    commutes with psi, series_mul and psi_inverse, so the result is the one
+    the lifts of f and g would give.  Each component is one ``ring.dot`` of
+    the pairs (beta f^(a), g^(b)) over one derivative chain of each input.
+    """
     ring = f.spec
     k = _weight(f)
     l = _weight(g)
     if k < 0 or l < 0:
         raise NotHomogeneous("star is defined at nonnegative weights")
-    lifted = series_mul(psi(k, f, order, ring=ring), psi(l, g, order, ring=ring))
+    g = ring.coerce(g)
+    free = _free_star(k, l, order)
+    top = (max(free.components, default=k + l) - k - l) // 2
+    df, dg = _derivs(f, top), _derivs(g, top)
+    return WeightedFamily(ring, {
+        m: ring.dot((beta * df[a], dg[b]) for ((_, a, _), (_, b, _)), beta in comp.terms.items())
+        for m, comp in free.items()
+    })
+
+
+def _free_star(k: int, l: int, order: int | None) -> WeightedFamily:
+    """F * G for free generators F, G of weights k, l: the peeled product of
+    their lifts over the ring ``[F:k, G:l]``.  Every monomial of component
+    k + l + 2n is F^(a) G^(b) with a + b = n."""
+    spec = GradedRingSpec([Generator("F", k), Generator("G", l)])
+    lifted = series_mul(psi(k, spec.gen("F"), order), psi(l, spec.gen("G"), order))
     return psi_inverse(lifted, order)
+
+
+def _derivs(f, n: int) -> list:
+    """[f, f', ..., f^(n)]."""
+    out = [f]
+    for _ in range(n):
+        out.append(out[-1].deriv())
+    return out
 
 
 def star_families(A: WeightedFamily, B: WeightedFamily, order: int) -> WeightedFamily:
@@ -109,11 +137,10 @@ def alpha_table(k: int, l: int, n_max: int) -> list[Fraction]:
         raise EdgeCaseWeightZero("no free extraction with a weight-0 right factor")
     if k < 1 or l < 1:
         raise ValueError("weights must be nonnegative")
-    spec = GradedRingSpec([Generator("F", k), Generator("G", l)])
-    F = spec.gen("F")
-    G = spec.gen("G")
     order = k + l + 2 * n_max + 1
-    fam = star(F, G, order)
+    fam = _free_star(k, l, order)
+    F = fam.ring.gen("F")
+    G = fam.ring.gen("G")
     out = []
     for n in range(n_max + 1):
         comp = fam.component(k + l + 2 * n)

@@ -78,12 +78,13 @@ def _ilin_mul(p: list[int], a: int, b: int) -> list[int]:
 def _ipow(p: IntPoly, n: int) -> IntPoly:
     out: IntPoly = (1,)
     base = p
-    while n:
+    while True:
         if n & 1:
             out = _imul(out, base)
-        base = _imul(base, base)
         n >>= 1
-    return out
+        if not n:
+            return out
+        base = _imul(base, base)
 
 
 def _ideriv(p: IntPoly) -> IntPoly:

@@ -70,6 +70,25 @@ def test_pow_negative_on_units():
     assert (chi**-2) * (chi**2) == spec.one()
 
 
+@pytest.mark.parametrize("n", range(18))
+def test_pow_squares_bit_length_minus_1_times(monkeypatch, n):
+    p = xi**3 - chi * xi + spec.gen("chi", 1)
+    expect = spec.one()
+    for _ in range(n):
+        expect = expect * p
+    squarings = []
+    real = GradedRingSpec.dot
+
+    def spy(self, pairs):
+        pairs = list(pairs)
+        squarings.extend(x for x, y in pairs if x is y)
+        return real(self, pairs)
+
+    monkeypatch.setattr(GradedRingSpec, "dot", spy)
+    assert p**n == expect
+    assert len(squarings) == max(n.bit_length() - 1, 0)
+
+
 def test_scalar_arithmetic():
     e = 2 * chi - chi - chi
     assert e.is_zero()

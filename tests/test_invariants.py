@@ -5,6 +5,7 @@ from math import factorial, prod
 
 import pytest
 
+from pdo import invariants
 from pdo.coeffs import compositions, gamma_tuple, gbinom
 from pdo.errors import NotAUnit, NotHomogeneous, NotInvariant
 from pdo.graded import GradedElem, GradedRingSpec, Generator
@@ -406,6 +407,25 @@ def test_u_power_takes_k_minus_1_products(monkeypatch, k):
     # decompose_even's chain 1, u, ..., u^{k-1}: u itself is not a product
     decompose_even([spec.one()] * k, 9, GR)
     assert len(calls) == max(k - 2, 0)
+
+
+def test_powers_of_u_stop_at_the_order_their_caller_reads(monkeypatch):
+    seen = []
+    real = invariants._u_powers
+
+    def spy(*args):
+        return (seen.append(p) or p for p in real(*args))
+
+    monkeypatch.setattr(invariants, "_u_powers", spy)
+    q = seeded_u_sum(3, 23)
+    for order, bound in ((None, 23), (15, 15)):
+        seen.clear()
+        assert len(rewrite_in_u(q, order=order)) == 4
+        assert len(seen) == 4 and all(p.order is None or p.order <= bound for p in seen)
+    a = rewrite_in_u(q)
+    seen.clear()
+    decompose_even(a, 13, GR)
+    assert len(seen) == 4 and all(p.order is None or p.order <= 13 for p in seen)
 
 
 def test_rewrite_in_u_needs_finite_order():

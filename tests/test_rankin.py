@@ -3,11 +3,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdo import rankin
-from pdo.errors import BracketMismatch, EdgeCaseWeightZero, NotHomogeneous
+from pdo.errors import BracketMismatch, EdgeCaseWeightZero, NotHomogeneous, OrderUnresolvable, RingMismatch
 from pdo.graded import GradedRingSpec, Generator
-from pdo.lift import WeightedFamily, psi_assemble
+from pdo.lift import WeightedFamily, psi, psi_assemble, psi_inverse
+from pdo.series import series_mul
 from pdo.rankin import alpha_table, alpha_weight0, rc_bracket, star, star_families, star_via_brackets
 from pdo.ratfunc import RatFunc
 
@@ -143,15 +145,16 @@ def test_bracket_mismatch_names_the_table_and_its_sizes(monkeypatch, broken, wha
 
 
 def test_bracket_mismatch_when_the_star_product_is_off(monkeypatch):
-    real = rankin.star
+    real = rankin._free_star
 
-    def star_off(f, g, order):
-        fam = real(f, g, order)
+    def star_off(k, l, order):
+        fam = real(k, l, order)
+        F, G = fam.ring.gen("F"), fam.ring.gen("G")
         comps = dict(fam.components)
-        comps[7] = comps[7] + f * g.deriv()  # the offset-1 component, F*G' term changed
+        comps[7] = comps[7] + F * G.deriv()  # the offset-1 component, F*G' term changed
         return WeightedFamily(fam.ring, comps)
 
-    monkeypatch.setattr(rankin, "star", star_off)
+    monkeypatch.setattr(rankin, "_free_star", star_off)
     with pytest.raises(BracketMismatch, match=r"^alpha_table: the star product .* \(weights \(2, 3\), offset 1, order 10\)$"):
         alpha_table(2, 3, 2)
 
@@ -184,3 +187,95 @@ def test_star_families_associative_small():
     lhs = star_families(star_families(A, B, order), C, order)
     rhs = star_families(A, star_families(B, C, order), order)
     assert lhs.agree(rhs, order)
+
+
+def direct_star(f, g, order):
+    """The lift-multiply-peel route: psi_inverse(psi_k(f) . psi_l(g)) on the
+    inputs themselves, with the checks of ``star``."""
+    ring = f.spec
+    k = rankin._weight(f)
+    l = rankin._weight(g)
+    if k < 0 or l < 0:
+        raise NotHomogeneous("star is defined at nonnegative weights")
+    lifted = series_mul(psi(k, f, order, ring=ring), psi(l, g, order, ring=ring))
+    return psi_inverse(lifted, order)
+
+
+# h has no inverse, so it enters with positive exponents only
+spec3 = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True), Generator("h", 3)])
+xi3 = spec3.gen("xi")
+BLOCKS = (
+    spec3.one(), spec3.gen("chi"), spec3.gen("chi") ** -1, spec3.gen("chi", 1),
+    spec3.gen("h"), spec3.gen("h", 1), spec3.gen("h") * spec3.gen("chi", 2), spec3.gen("xi", 1) ** 2,
+)
+
+
+@st.composite
+def homogeneous(draw, weight):
+    """A nonzero sum of one to three terms c * X * xi^e of the given weight."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        block = draw(st.sampled_from(BLOCKS))
+        c = F(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
+        terms.append(c * block * xi3 ** (weight - block.weight()))
+    e = spec3.sum(terms)
+    return e if not e.is_zero() else xi3**weight
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 4), st.integers(0, 4), st.integers(1, 15))
+def test_star_equals_the_lift_multiply_peel_route(data, k, l, order):
+    f = data.draw(homogeneous(k))
+    g = data.draw(homogeneous(l))
+    assert star(f, g, order) == direct_star(f, g, order)
+
+
+@settings(max_examples=20, deadline=None)
+@given(homogeneous(0), homogeneous(0))
+def test_star_of_weight_zero_inputs_is_exact(f, g):
+    assert star(f, g, None) == direct_star(f, g, None) == WeightedFamily(spec3, {0: f * g})
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "f,g,order,error",
+    [
+        (spec.zero(), chi, 9, NotHomogeneous),
+        (chi, spec.zero(), 9, NotHomogeneous),
+        (chi + xi, chi, 9, NotHomogeneous),
+        (chi, chi + xi, 9, NotHomogeneous),
+        (chi**-1, chi, 9, NotHomogeneous),
+        (chi, xi**-3, 9, NotHomogeneous),
+        (chi, spec3.gen("h"), 9, RingMismatch),
+        (spec.scalar(2), spec3.scalar(3), None, RingMismatch),
+        (xi, chi, None, OrderUnresolvable),
+    ],
+)
+def test_star_raises_what_the_lift_route_raises(f, g, order, error):
+    got = _outcome(star, f, g, order)
+    assert got[0] is error and got == _outcome(direct_star, f, g, order)
+
+
+def test_star_multiplies_series_over_the_free_ring_only(monkeypatch):
+    seen = []
+    real_mul, real_peel = rankin.series_mul, rankin.psi_inverse
+
+    def mul(p, q):
+        seen.extend((p.ring, q.ring))
+        return real_mul(p, q)
+
+    def peel(q, order=None):
+        seen.append(q.ring)
+        return real_peel(q, order)
+
+    monkeypatch.setattr(rankin, "series_mul", mul)
+    monkeypatch.setattr(rankin, "psi_inverse", peel)
+    f, g = xi * chi + xi**3, xi + chi * xi**-1
+    assert star(f, g, 13) == direct_star(f, g, 13)
+    assert seen and set(seen) == {GradedRingSpec([Generator("F", 3), Generator("G", 1)])}

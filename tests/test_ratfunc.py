@@ -93,6 +93,28 @@ def test_pow_negative():
     assert f**0 == RatFunc.const(1)
 
 
+@pytest.mark.parametrize("n", range(18))
+def test_ipow_squares_bit_length_minus_1_times(monkeypatch, n):
+    p = (3, -1, 0, 2)
+    expect = (1,)
+    for _ in range(n):
+        expect = _imul(expect, p)
+    squarings = []
+
+    def spy(a, b):
+        if a is b:
+            squarings.append(a)
+        return _imul(a, b)
+
+    monkeypatch.setattr(ratfunc, "_imul", spy)
+    assert ratfunc._ipow(p, n) == expect
+    assert len(squarings) == max(n.bit_length() - 1, 0)
+    f, power = (z + 2) / (z * z - 3), RatFunc.const(1)
+    for _ in range(n):
+        power = power * f
+    assert f**n == power
+
+
 def test_mobius_examples():
     assert mobius_compose(z, T) == z + 1
     assert mobius_compose(z, S) == -1 / z
