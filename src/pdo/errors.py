@@ -68,10 +68,6 @@ class ParityMismatch(PDOError):
     """Closed-pair conversion applied to a family of the wrong parity."""
 
 
-class BracketMismatch(PDOError):
-    """A star-product component failed proportionality to its bracket."""
-
-
 class OrderUnresolvable(PDOError):
     """Exact operands generate an infinite series; a truncation order is required."""
 

@@ -21,7 +21,7 @@ from .coeffs import gamma_tuple, gbinom
 from .errors import NotAUnit, NotHomogeneous, NotInvariant, OrderUnresolvable
 from .graded import GradedElem, GradedRingSpec
 from .lift import WeightedFamily, psi_inverse
-from .rankin import rc_bracket
+from .rankin import _bracket_pairs, _derivs
 from .series import PDSeries, _min_order, series_mul, series_sqrt
 
 __all__ = [
@@ -158,26 +158,27 @@ def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRingSpec) ->
     m_max = (order - 1) // 2
     powers = zip(a, _u_powers(2 * m_max + 1, ring))
     gtabs = {k: _peel(power, k, m_max) for k, (ak, power) in enumerate(powers) if not ak.is_zero()}
+    # one derivative chain per a_k and per nonzero g_{k,2n}; a weight-0
+    # bracket of order N >= 1 has no a_k g^(N) term, so g_{k,2n} is read to
+    # its (m_max-n-1)-th derivative at most, and a_k to its (m_max-max(k,1))-th
+    da = {k: _derivs(a[k], m_max - max(k, 1)) for k in gtabs}
+    dg = {
+        (k, n): _derivs(g, max(m_max - n - 1, 0))
+        for k, gtab in gtabs.items()
+        for n in range(max(k, 1), m_max + 1)
+        if not (g := gtab[2 * n]).is_zero()
+    }
     comps: dict[int, GradedElem] = {}
     if a and not a[0].is_zero():
         comps[0] = a[0]
     for m in range(1, m_max + 1):
-        gs = (
-            (k, n, gtab.get(2 * n, ring.zero()))
-            for k, gtab in gtabs.items()
-            for n in range(max(k, 1), m + 1)
-        )
-        acc = ring.sum(
-            Fraction((-1) ** n)
-            * Fraction(factorial(2 * n - 1) * factorial(m - n))
-            / Fraction(factorial(n - 1) * (m + n - 1))
-            * gbinom(m, m - n)
-            * rc_bracket(a[k], g, 0, 2 * n, m - n)
-            for k, n, g in gs
-            if not g.is_zero()
-        )
         pref = Fraction((-1) ** m * factorial(m - 1), factorial(2 * m - 2))
-        comps[2 * m] = pref * acc
+        pairs = []
+        for (k, n), dgn in dg.items():
+            if n <= m:
+                c = Fraction((-1) ** n * factorial(2 * n - 1) * factorial(m - n), factorial(n - 1) * (m + n - 1))
+                pairs.extend(_bracket_pairs(da[k], dgn, 0, 2 * n, m - n, pref * c * gbinom(m, m - n)))
+        comps[2 * m] = ring.dot(pairs)
     return WeightedFamily(ring, comps)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .coeffs import gbinom, lift_coeff, omega
 from .errors import (
@@ -122,21 +122,33 @@ def psi(m: int, f, order: int | None = None, ring=None) -> PDSeries:
     exact = m <= 0 and m % 2 == 0
     if not exact and order is None:
         raise OrderUnresolvable(f"psi at weight {m} is an infinite series; pass an order")
-    # alpha_m(n) = alpha_m(n-1) * -(m+2n-2)(m+2n) / (4n(m+n-1)) from
-    # alpha_m(0) = 1; its first zero, at n = -m/2 for m < 0 and n = 1 for
-    # m = 0, ends the exact lifts, and for m > 0 it never vanishes
     out = {}
-    n, a, deriv = 0, Fraction(1), f
-    while exact or m + 2 * n < order:
+    deriv = f
+    for n, a in enumerate(_lift_coeffs(m)):
+        if not exact and m + 2 * n >= order:
+            break
         if n:
-            top = -(m + 2 * n - 2) * (m + 2 * n)
-            if top == 0:
-                break
-            a *= Fraction(top, 4 * n * (m + n - 1))
             deriv = deriv.deriv()
         out[m + 2 * n] = a * deriv
-        n += 1
     return PDSeries(ring, out, EXACT if exact else order)
+
+
+def _lift_coeffs(m: int) -> Iterator[Fraction]:
+    """alpha_m(0), alpha_m(1), ... of psi_m, stepped by their ratio
+
+        alpha_m(n) = alpha_m(n-1) * -(m+2n-2)(m+2n) / (4n(m+n-1))
+
+    from alpha_m(0) = 1.  The first zero, at n = -m/2 for m < 0 and n = 1
+    for m = 0, ends the sequence (the exact lifts); for m > 0 it never
+    ends."""
+    a, n = Fraction(1), 0
+    while True:
+        yield a
+        n += 1
+        top = -(m + 2 * n - 2) * (m + 2 * n)
+        if top == 0:
+            return
+        a *= Fraction(top, 4 * n * (m + n - 1))
 
 
 def psi_neg_via_xi(k: int, f, xi, order: int, ring=None) -> PDSeries:

@@ -4,21 +4,22 @@ The star product of two homogeneous coefficients is the peeled product of
 their lifts.  Each component is a universal bilinear differential
 expression in the two factors, fixed by their weights, so it is computed
 once on free generators F, G of those weights and evaluated at the actual
-factors.  Every component is a rational multiple of the corresponding
-bracket; the universal multipliers alpha_n(k, l) are read off the same free
-product by solving against the bracket -- a failed proportionality is a
-hard error, since it would falsify the transfer at the working truncation.
+factors.  Every component is a rational multiple alpha_n(k, l) of the
+corresponding bracket (the transfer theorem, which the ``STAR`` verify
+suite checks); ``alpha_table`` computes these multipliers by a scalar
+recursion in the quotient F' = 0, without forming the free product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import factorial
 
 from .coeffs import gbinom
-from .errors import BracketMismatch, EdgeCaseWeightZero, NotHomogeneous
+from .errors import EdgeCaseWeightZero, NotHomogeneous
 from .graded import GradedElem, GradedRingSpec, Generator
-from .lift import WeightedFamily, psi, psi_assemble, psi_inverse, ring_of
+from .lift import WeightedFamily, _lift_coeffs, psi, psi_assemble, psi_inverse, ring_of
 from .series import series_mul
 
 __all__ = [
@@ -41,14 +42,16 @@ def rc_bracket(f, g, k: int, l: int, n: int):
     """
     if n < 0:
         raise ValueError(f"bracket index must be >= 0, got {n}")
-    derivs_f, derivs_g = _derivs(f, n), _derivs(g, n)
-    return ring_of(f).sum(
-        (-1) ** j
-        * gbinom(k + n - 1, n - j)
-        * gbinom(l + n - 1, j)
-        * (derivs_f[j] * derivs_g[n - j])
-        for j in range(n + 1)
-    )
+    return ring_of(f).dot(_bracket_pairs(_derivs(f, n), _derivs(g, n), k, l, n))
+
+
+def _bracket_pairs(df: list, dg: list, k: int, l: int, n: int, scale: Fraction | int = 1):
+    """The pairs (scale * c_j f^(j), g^(n-j)) whose ``ring.dot`` is
+    scale * [f, g]_n, read off the derivative chains df = [f, f', ...] and
+    dg = [g, g', ...]; the j with c_j = 0 are left out."""
+    for j in range(n + 1):
+        if c := (-1) ** j * gbinom(k + n - 1, n - j) * gbinom(l + n - 1, j):
+            yield scale * c * df[j], dg[n - j]
 
 
 def star(f: GradedElem, g: GradedElem, order: int | None) -> WeightedFamily:
@@ -126,35 +129,42 @@ def alpha_weight0(j: int, l: int) -> Fraction:
 def alpha_table(k: int, l: int, n_max: int) -> list[Fraction]:
     """The universal star multipliers alpha_n(k, l) for 0 <= n <= n_max.
 
-    For k, l >= 1: extracted from the star product of free generators of
-    weights k and l, with an exact proportionality check of every component
-    against its bracket.  The (0, even) column comes from the closed form;
+    For k, l >= 1, in the quotient by the differential ideal (F', F'', ...)
+    of free generators F, G of weights k, l.  The quotient map is a
+    differential-ring homomorphism, so it commutes with psi, series_mul and
+    psi_inverse, and it keeps the monomials F*G^(N); there psi_k(F) = F y^k,
+    and every series coefficient is a scalar multiple of one F*G^(N):
+
+        q_N     = sum_{n+u=N} a_l(n) s_k(u)                  (F y^k . psi_l(G))
+        beta_N  = q_N - sum_{n<N} beta_n a_{k+l+2n}(N-n)      (the peel)
+        alpha_N = beta_N / C(k+N-1, N)                        (over F*G^(N) in [F, G]_N)
+
+    with a_m the lift coefficients of psi_m and s_k(u) = prod_{v<=u}
+    -(k+2v-2)/(2v) the commutation factors of F y^k . G^(n).  That the whole
+    component is alpha_N [F, G]_N is the transfer theorem, checked by the
+    ``STAR`` verify suite.  The (0, even) column comes from the closed form;
     other zero weights have no free extraction.
     """
+    if k < 0 or l < 0:
+        raise ValueError(f"weights must be nonnegative, got ({k}, {l})")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if k == 0:
         return [alpha_weight0(j, l) for j in range(n_max + 1)]
     if l == 0:
         raise EdgeCaseWeightZero("no free extraction with a weight-0 right factor")
-    if k < 1 or l < 1:
-        raise ValueError("weights must be nonnegative")
-    order = k + l + 2 * n_max + 1
-    fam = _free_star(k, l, order)
-    F = fam.ring.gen("F")
-    G = fam.ring.gen("G")
+    a_l = list(islice(_lift_coeffs(l), n_max + 1))
+    s_k = list(accumulate(
+        range(1, n_max + 1), lambda s, u: s * Fraction(-(k + 2 * u - 2), 2 * u), initial=Fraction(1)
+    ))
+    # rest[N]: q_N less the lifts of the components peeled so far
+    rest = [sum(a_l[n] * s_k[N - n] for n in range(N + 1)) for N in range(n_max + 1)]
     out = []
     for n in range(n_max + 1):
-        comp = fam.component(k + l + 2 * n)
-        bracket = rc_bracket(F, G, k, l, n)
-        # read alpha off the F * G^(n) monomial, then require exact proportionality
-        mono = (((0, 0, 1), (1, n, 1)))
-        denom = bracket.coefficient(mono)
-        where = f"weights ({k}, {l}), offset {n}, order {order}"
-        if denom == 0:
-            raise BracketMismatch(f"alpha_table: the bracket [F,G]_{n} vanishes on its pivot monomial F*G^({n}) ({where})")
-        a = comp.coefficient(mono) / denom
-        if comp != a * bracket:
-            raise BracketMismatch(f"alpha_table: the star product is not proportional to the bracket [F,G]_{n} ({where})")
-        out.append(a)
+        beta = rest[n]
+        for j, a in enumerate(islice(_lift_coeffs(k + l + 2 * n), 1, n_max - n + 1), n + 1):
+            rest[j] -= beta * a
+        out.append(beta / gbinom(k + n - 1, n))
     return out
 
 

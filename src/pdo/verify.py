@@ -3,7 +3,9 @@
 Each suite checks a closed-form identity over a declared finite parameter
 range, with zero tolerance.  The certificate suites (WZ1-WZ4) verify the
 printed telescoping certificates term by term -- rational identities in
-integer parameters -- rather than re-running a summation engine.  Each suite
+integer parameters -- rather than re-running a summation engine.  STAR
+checks the transfer theorem over free graded generators: each star-product
+component is alpha_n(k, l) times its Rankin-Cohen bracket.  Each suite
 states its range once and yields its cases as (label, lhs, rhs) to one
 runner, ``_run``, which counts them and compares the sides.  Reports carry
 the range and the first counterexample, never an exception.
@@ -397,6 +399,27 @@ def suite_alphaku(umax: int = 10, kmax: int = 5) -> SuiteReport:
     return _run("ALPHAKU", f"0 <= n <= u <= {umax}, 0 <= k <= {kmax}", cases)
 
 
+def suite_star(kmax: int = 6, jmax: int = 8) -> SuiteReport:
+    """The transfer theorem: component k+l+2n of the star product of free
+    generators F, G of weights k, l is alpha_n(k, l) [F, G]_n, with the
+    multipliers from ``alpha_table``'s scalar recursion, which reads only
+    the F*G^(n) coefficient of each component."""
+    # imported here, so that the other suites load no graded module
+    from .rankin import _free_star, alpha_table, rc_bracket
+
+    def cases():
+        for k in range(1, kmax + 1):
+            for l in range(1, kmax + 1):
+                order = k + l + 2 * jmax + 1
+                fam = _free_star(k, l, order)
+                F, G = fam.ring.gen("F"), fam.ring.gen("G")
+                for n, alpha in enumerate(alpha_table(k, l, jmax)):
+                    label = f"weights ({k}, {l}), offset {n}, order {order}"
+                    yield label, fam.component(k + l + 2 * n), alpha * rc_bracket(F, G, k, l, n)
+
+    return _run("STAR", f"1 <= k,l <= {kmax}, 0 <= n <= {jmax}", cases())
+
+
 SUITES: dict[str, Callable[..., SuiteReport]] = {
     "RHO": suite_rho,
     "ODDPROD": suite_oddprod,
@@ -409,6 +432,7 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
     "COMMLAW": suite_commlaw,
     "GROUPLAW": suite_grouplaw,
     "ALPHAKU": suite_alphaku,
+    "STAR": suite_star,
 }
 
 

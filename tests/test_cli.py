@@ -122,6 +122,31 @@ def test_star_and_alpha_table(capsys):
     assert out.splitlines()[1] == "0,1/1"
 
 
+# the bytes the free-generator extraction printed, before alpha_table became
+# a scalar recursion
+@pytest.mark.parametrize(
+    "argv,printed",
+    [
+        (["--k", "2", "--l", "2", "--nmax", "4"], '{"k":2,"l":2,"alpha":["1/1","-1/4","1/15","-1/56","1/210"]}\n'),
+        (["--k", "1", "--l", "3", "--nmax", "5"],
+         '{"k":1,"l":3,"alpha":["1/1","-1/4","43/640","-65/3584","1675/344064","-2807/2162688"]}\n'),
+        (["--k", "5", "--l", "2", "--nmax", "3"], '{"k":5,"l":2,"alpha":["1/1","-1/4","49/768","-21/1280"]}\n'),
+        (["--k", "1", "--l", "1", "--nmax", "3", "--out", "csv"],
+         'n,"alpha_n(1,1)"\r\n0,1/1\r\n1,-1/4\r\n2,5/64\r\n3,-29/1280\r\n'),
+        (["--k", "0", "--l", "4", "--nmax", "3"], '{"k":0,"l":4,"alpha":["1/1","-3/8","3/25","-1/28"]}\n'),
+    ],
+)
+def test_alpha_table_prints_the_same_bytes(capsys, argv, printed):
+    assert run(capsys, "alpha-table", *argv) == (0, printed, "")
+
+
+def test_verify_star(capsys):
+    code, out, _ = run(capsys, "verify", "STAR", "--kmax", "2", "--jmax", "3")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["ok"] is True and rep["ranges"] == "1 <= k,l <= 2, 0 <= n <= 3" and rep["checked"] == 16
+
+
 def test_rc(capsys):
     code, out, _ = run(capsys, "rc", json.dumps(ratfunc_json(z)), json.dumps(ratfunc_json(z)),
                        "--k", "1", "--l", "1", "--n", "2")

@@ -211,6 +211,41 @@ def test_decompose_even_chain_matches_per_k_g_forms():
             assert decompose_even(a, order, GR) == per_k_decompose_even(a, order, GR), (len(a), order)
 
 
+def benchmark_shaped_a(seed: int) -> list[GradedElem]:
+    """Four weight-0 a_k = +-1 +- chi' chi^-2 +- xi^2 chi^-1, signs by seed."""
+    rnd = random.Random(seed)
+    shapes = (spec.one(), spec.gen("chi", 1) * chi**-2, xi**2 * chi**-1)
+    return [sum((rnd.choice((-1, 1)) * m for m in shapes), spec.zero()) for _ in range(4)]
+
+
+def test_decompose_even_fused_brackets_match_one_bracket_per_term():
+    for order in range(1, 26):
+        a = benchmark_shaped_a(order)
+        assert decompose_even(a, order, GR) == per_k_decompose_even(a, order, GR), order
+
+
+def test_decompose_even_derives_each_element_once(monkeypatch):
+    calls = []
+    real = GradedElem.deriv
+    monkeypatch.setattr(GradedElem, "deriv", lambda self: calls.append(1) or real(self))
+    a, order = benchmark_shaped_a(3), 23
+    m_max = (order - 1) // 2
+    gtabs = {k: invariants._peel(p, k, m_max) for k, p in zip(range(len(a)), invariants._u_powers(order, GR))}
+    peel_calls = len(calls)
+    calls.clear()
+    decompose_even(a, order, GR)
+    # the bracket sums take one chain per a_k, to its (m_max - max(k,1))-th
+    # derivative, and one per nonzero g_{k,2n}, to its (m_max-n-1)-th; one
+    # rc_bracket per (k, n, m) made 440 deriv calls here
+    chains = sum(m_max - max(k, 1) for k in gtabs) + sum(
+        max(m_max - n - 1, 0)
+        for k, gtab in gtabs.items()
+        for n in range(max(k, 1), m_max + 1)
+        if not gtab[2 * n].is_zero()
+    )
+    assert len(calls) - peel_calls == chains == 82
+
+
 def test_decompose_even_examples():
     fam = decompose_even([spec.zero(), spec.one()], 12, GR)
     assert fam.component(2) == chi

@@ -1,14 +1,16 @@
 import copy
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdo import rankin
-from pdo.errors import BracketMismatch, EdgeCaseWeightZero, NotHomogeneous, OrderUnresolvable, RingMismatch
+from pdo.errors import EdgeCaseWeightZero, NotHomogeneous, OrderUnresolvable, RingMismatch
+from pdo.coeffs import gbinom
 from pdo.graded import GradedRingSpec, Generator
-from pdo.lift import WeightedFamily, psi, psi_assemble, psi_inverse
+from pdo.lift import WeightedFamily, psi, psi_assemble, psi_inverse, ring_of
 from pdo.series import series_mul
 from pdo.rankin import alpha_table, alpha_weight0, rc_bracket, star, star_families, star_via_brackets
 from pdo.ratfunc import RatFunc
@@ -24,6 +26,31 @@ def test_bracket_examples():
     assert rc_bracket(chi, chi, 2, 2, 0) == chi * chi
     assert rc_bracket(chi, chi, 2, 2, 1).is_zero()
     assert rc_bracket(z, z, 1, 1, 2) == RatFunc.const(-4)
+
+
+def summed_bracket(f, g, k, l, n):
+    """[f, g]_n as a ``ring.sum`` of the formed products f^(j) g^(n-j)."""
+    return ring_of(f).sum(
+        (-1) ** j * gbinom(k + n - 1, n - j) * gbinom(l + n - 1, j) * (f.deriv_n(j) * g.deriv_n(n - j))
+        for j in range(n + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "f,g,k,l",
+    [
+        (z, z, 1, 1),
+        (1 / (z**2 + 1), z**3 - 2 * z, 2, 0),
+        ((z - 1) / (z + 2), 1 / (z - 3), -2, 3),
+        (chi, chi, 2, 2),
+        (xi * chi, chi**2 * xi**-1, 3, 3),
+        (spec.gen("chi", 1) * chi**-2, xi**2 * chi**-1, 0, 0),
+        (xi, chi**3 + xi**6, 1, 6),
+    ],
+)
+def test_bracket_is_the_summed_products(f, g, k, l):
+    for n in range(6):
+        assert rc_bracket(f, g, k, l, n) == summed_bracket(f, g, k, l, n), n
 
 
 def test_bracket_weight():
@@ -127,36 +154,61 @@ def test_alpha_table_weight_zero_edges():
 
 
 @pytest.mark.parametrize(
-    "broken,what",
+    "k,l,n_max,error",
     [
-        (lambda real, f, g, k, l, n: 0 * real(f, g, k, l, n), "vanishes on its pivot monomial F*G^(0)"),
-        (lambda real, f, g, k, l, n: real(f, g, k, l, n) + f * f.deriv(), "not proportional to the bracket [F,G]_0"),
+        # negative weights first, then a negative n_max, then the weight-0 edges
+        (-1, 0, 2, ValueError),
+        (0, -2, 1, ValueError),
+        (-1, 3, -1, ValueError),
+        (2, 2, -1, ValueError),
+        (0, 3, -1, ValueError),
+        (0, 0, -1, ValueError),
+        (0, 3, 2, EdgeCaseWeightZero),
+        (2, 0, 0, EdgeCaseWeightZero),
     ],
 )
-def test_bracket_mismatch_names_the_table_and_its_sizes(monkeypatch, broken, what):
-    real = rankin.rc_bracket
-    monkeypatch.setattr(rankin, "rc_bracket", lambda *args: broken(real, *args))
-    with pytest.raises(BracketMismatch) as ei:
-        alpha_table(2, 3, 4)
-    msg = str(ei.value)
-    assert msg.startswith("alpha_table:") and what in msg
-    # the weights, the offset and the working order k + l + 2 n_max + 1
-    assert "weights (2, 3), offset 0, order 14" in msg
+def test_alpha_table_checks_its_inputs_in_order(k, l, n_max, error):
+    with pytest.raises(error) as ei:
+        alpha_table(k, l, n_max)
+    assert type(ei.value) is error
 
 
-def test_bracket_mismatch_when_the_star_product_is_off(monkeypatch):
-    real = rankin._free_star
+def extracted_alpha_table(k, l, n_max):
+    """alpha_n(k, l) read off the star product of free generators: the F*G^(n)
+    coefficient of component k + l + 2n over that of [F, G]_n, with the whole
+    component required to be that multiple of the bracket."""
+    order = k + l + 2 * n_max + 1
+    fam = rankin._free_star(k, l, order)
+    F, G = fam.ring.gen("F"), fam.ring.gen("G")
+    out = []
+    for n in range(n_max + 1):
+        comp, bracket = fam.component(k + l + 2 * n), rc_bracket(F, G, k, l, n)
+        mono = ((0, 0, 1), (1, n, 1))
+        a = comp.coefficient(mono) / bracket.coefficient(mono)
+        assert comp == a * bracket, (k, l, n)
+        out.append(a)
+    return out
 
-    def star_off(k, l, order):
-        fam = real(k, l, order)
-        F, G = fam.ring.gen("F"), fam.ring.gen("G")
-        comps = dict(fam.components)
-        comps[7] = comps[7] + F * G.deriv()  # the offset-1 component, F*G' term changed
-        return WeightedFamily(fam.ring, comps)
 
-    monkeypatch.setattr(rankin, "_free_star", star_off)
-    with pytest.raises(BracketMismatch, match=r"^alpha_table: the star product .* \(weights \(2, 3\), offset 1, order 10\)$"):
-        alpha_table(2, 3, 2)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 12))
+def test_alpha_table_equals_the_free_generator_extraction(k, l, n_max):
+    assert alpha_table(k, l, n_max) == extracted_alpha_table(k, l, n_max)
+
+
+@pytest.mark.parametrize("k,l,n_max", [(2, 2, 32), (1, 3, 24)])
+def test_alpha_table_at_the_benchmark_sizes(k, l, n_max):
+    assert alpha_table(k, l, n_max) == extracted_alpha_table(k, l, n_max)
+
+
+def test_alpha_table_forms_no_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("alpha_table formed a series")
+
+    for name in ("series_mul", "psi_inverse", "_free_star"):
+        monkeypatch.setattr(rankin, name, refuse)
+    assert alpha_table(2, 2, 6) == [F((-1) ** n, comb(2 * n + 2, n)) for n in range(7)]
+    assert alpha_table(1, 3, 3) == [F(1), F(-1, 4), F(43, 640), F(-65, 3584)]
 
 
 def test_star_via_brackets_agrees():

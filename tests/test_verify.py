@@ -3,11 +3,12 @@ from math import factorial
 
 import pytest
 
-from pdo import verify
+from pdo import rankin, verify
 from pdo.coeffs import lift_coeff, recip_factorial, rho
 from pdo.ratfunc import GMatrix, RatFunc, mobius_compose
 from pdo.verify import _default_fs, run_suite, slash_derivative_expansion, SUITES
 from pdo.action import act_series, act_y_power, slash
+from pdo.lift import WeightedFamily
 from pdo.series import series_mul
 
 z = RatFunc.z()
@@ -27,6 +28,7 @@ z = RatFunc.z()
         ("COMMLAW", dict(imax=5, order=12)),
         ("GROUPLAW", dict(cases=4)),
         ("ALPHAKU", dict(umax=8, kmax=4)),
+        ("STAR", dict(kmax=3, jmax=10)),
     ],
 )
 def test_suites_pass(name, params):
@@ -44,7 +46,7 @@ def test_unknown_suite():
 def test_suite_names_exported():
     assert set(SUITES) == {
         "RHO", "ODDPROD", "WZ1", "WZ2", "WZ3", "WZ4",
-        "BOL", "RECUNEG", "COMMLAW", "GROUPLAW", "ALPHAKU",
+        "BOL", "RECUNEG", "COMMLAW", "GROUPLAW", "ALPHAKU", "STAR",
     }
 
 
@@ -93,6 +95,7 @@ def test_passing_reports_are_pinned(name, params, ranges, checked):
         ("WZ4", dict(pmax=0)),
         ("BOL", dict(hmax=0)),
         ("GROUPLAW", dict(cases=0)),
+        ("STAR", dict(kmax=0)),
     ],
 )
 def test_empty_range_fails_when_called_directly(name, params):
@@ -157,6 +160,45 @@ def test_series_counterexample_names_the_first_differing_exponent(monkeypatch, n
     assert lhs.coeff(n) != rhs.coeff(n) and lhs.agree(rhs, n)
     assert pair == f"{lhs.coeff(n)} != {rhs.coeff(n)}"
     assert len(bad.counterexample) < len(str(lhs))
+
+
+def test_star_passes_at_its_default_range():
+    assert run_suite("STAR") == ("STAR", True, "1 <= k,l <= 6, 0 <= n <= 8", 36 * 9, None)
+
+
+def _star_off(real, k, l, order):
+    fam = real(k, l, order)
+    F, G = fam.ring.gen("F"), fam.ring.gen("G")
+    comps = dict(fam.components)
+    comps[k + l + 2] = comps[k + l + 2] + F * G.deriv()  # the offset-1 component, F*G' term changed
+    return WeightedFamily(fam.ring, comps)
+
+
+# the star product of free generators, or the bracket it is compared with,
+# broken at weights (2, 3) only, which `at` slices out of the arguments
+@pytest.mark.parametrize(
+    "target,at,broken,jmax,offset",
+    [
+        pytest.param("rc_bracket", slice(2, 4), lambda real, f, g, k, l, n: 0 * real(f, g, k, l, n), 4, 0,
+                     id="bracket-zero"),
+        pytest.param("rc_bracket", slice(2, 4), lambda real, f, g, k, l, n: real(f, g, k, l, n) + f * f.deriv(), 4, 0,
+                     id="bracket-off"),
+        pytest.param("_free_star", slice(0, 2), _star_off, 2, 1, id="star-off"),
+    ],
+)
+def test_star_failure_names_the_weights_offset_and_order(monkeypatch, target, at, broken, jmax, offset):
+    good = run_suite("STAR", kmax=3, jmax=jmax)
+    assert good.ok and good.checked == 9 * (jmax + 1)
+    real = getattr(rankin, target)
+    monkeypatch.setattr(rankin, target, lambda *args: broken(real, *args) if args[at] == (2, 3) else real(*args))
+    bad = SUITES["STAR"](kmax=3, jmax=jmax)
+    assert not bad and bad.ranges == good.ranges
+    # (1, 1) to (2, 2) pass, then (2, 3) fails at the offset; the label names
+    # the weights, the offset and the working order k + l + 2 jmax + 1
+    assert bad.checked == 5 * (jmax + 1) + offset + 1
+    where = f"weights (2, 3), offset {offset}, order {2 + 3 + 2 * jmax + 1}"
+    assert bad.counterexample.startswith(f"{where}: ") and " != " in bad.counterexample
+    assert bad == run_suite("STAR", kmax=3, jmax=jmax)
 
 
 def test_counterexample_prints_both_sides(monkeypatch):
