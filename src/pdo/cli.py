@@ -87,89 +87,24 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for `argv` (default: the process's arguments).  Every
+    subcommand is listed with its help line, but only the one that `argv`
+    names, its first non-option token, gets its arguments: a process runs one
+    command, and building the other parsers is most of the cost."""
     p = argparse.ArgumentParser(
         prog="pdo",
         description="Exact arithmetic in truncated skew Laurent series rings, "
         "the SL(2,Q) action, lifting maps and Rankin-Cohen star products.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("mul", help="product of two series (JSON PDSeries args)")
-    sp.add_argument("p")
-    sp.add_argument("q")
-    sp.add_argument("--order", type=_nonneg_int, default=None, help="truncate operands first")
-
-    sp = sub.add_parser("inv", help="inverse of a series")
-    sp.add_argument("q")
-    sp.add_argument("--order", type=_nonneg_int, default=None, help="result truncation order")
-
-    sp = sub.add_parser("sqrt", help="square root of a series with supplied leading root")
-    sp.add_argument("q")
-    sp.add_argument("--lead", required=True, help="coefficient e with e^2 = leading")
-    sp.add_argument("--order", type=_nonneg_int, default=None)
-
-    sp = sub.add_parser("act", help="apply a homography to a series over Q(z)")
-    sp.add_argument("q")
-    sp.add_argument("--matrix", required=True, help="[[a,b],[c,d]] with det 1")
-    sp.add_argument("--order", type=_nonneg_int, default=None)
-
-    sp = sub.add_parser("slash", help="weight-k slash action on a rational function")
-    sp.add_argument("f")
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--matrix", required=True)
-
-    sp = sub.add_parser("lift", help="the weight-m lifting map applied to a coefficient")
-    sp.add_argument("f")
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--order", type=_nonneg_int, default=None)
-    sp.add_argument("--ring", choices=["qz", "graded"], default="qz")
-    sp.add_argument("--spec", default=None, help="generators JSON for --ring graded")
-
-    sp = sub.add_parser("psi-inv", help="peel a series into its weighted family")
-    sp.add_argument("q")
-    sp.add_argument("--order", type=_nonneg_int, default=None)
-
-    sp = sub.add_parser("star", help="star product of two homogeneous graded elements")
-    sp.add_argument("f")
-    sp.add_argument("g")
-    sp.add_argument("--order", type=_nonneg_int, required=True)
-    sp.add_argument("--spec", default=None)
-
-    sp = sub.add_parser("alpha-table", help="universal star multipliers alpha_n(k, l)")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--nmax", type=_nonneg_int, required=True)
-    sp.add_argument("--out", choices=["json", "csv"], default="json")
-
-    sp = sub.add_parser("rc", help="Rankin-Cohen bracket [f, g]_n at weights (k, l)")
-    sp.add_argument("f")
-    sp.add_argument("g")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--n", type=_nonneg_int, required=True)
-    sp.add_argument("--ring", choices=["qz", "graded"], default="qz")
-    sp.add_argument("--spec", default=None)
-
-    sp = sub.add_parser("g-table", help="modular forms g_{k,2n} peeled from u^k")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--nmax", type=_nonneg_int, required=True)
-    sp.add_argument("--spec", default=None)
-    sp.add_argument("--out", choices=["json", "csv"], default="json")
-
-    sp = sub.add_parser("rewrite-u", help="expand an invariant series in powers of u = x*chi")
-    sp.add_argument("q")
-    sp.add_argument("--order", type=_nonneg_int, default=None)
-
-    sp = sub.add_parser("v-uniformizer", help="the odd uniformizer sqrt(y^2 xi^2)")
-    sp.add_argument("--order", type=_nonneg_int, required=True)
-    sp.add_argument("--spec", default=None)
-
-    sp = sub.add_parser("verify", help="run an exact verification suite")
-    sp.add_argument("suite", help="suite name, in any case; an unknown name lists them")
-    for flag in VERIFY_FLAGS:
-        sp.add_argument(f"--{flag}", type=int if flag == "seed" else _nonneg_int, default=None)
-
+    argv = sys.argv[1:] if argv is None else argv
+    chosen = next((a for a in argv if not a.startswith("-")), None)
+    for name, (_, help_line, arguments) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        if name == chosen:
+            for flag, options in arguments:
+                sp.add_argument(flag, **options)
     return p
 
 
@@ -324,29 +259,51 @@ def _cmd_verify(args) -> None:
         raise PDOError(f"suite {rep.name} failed: {rep.counterexample}")
 
 
-_COMMANDS = {
-    "mul": _cmd_mul,
-    "inv": _cmd_inv,
-    "sqrt": _cmd_sqrt,
-    "act": _cmd_act,
-    "slash": _cmd_slash,
-    "lift": _cmd_lift,
-    "psi-inv": _cmd_psi_inv,
-    "star": _cmd_star,
-    "alpha-table": _cmd_alpha_table,
-    "rc": _cmd_rc,
-    "g-table": _cmd_g_table,
-    "rewrite-u": _cmd_rewrite_u,
-    "v-uniformizer": _cmd_v_uniformizer,
-    "verify": _cmd_verify,
+_ORDER = ("--order", {"type": _nonneg_int, "default": None})
+_ORDER_REQUIRED = ("--order", {"type": _nonneg_int, "required": True})
+_SPEC = ("--spec", {"default": None})
+_RING = ("--ring", {"choices": ["qz", "graded"], "default": "qz"})
+_OUT = ("--out", {"choices": ["json", "csv"], "default": "json"})
+_K = ("--k", {"type": int, "required": True})
+_L = ("--l", {"type": int, "required": True})
+_NMAX = ("--nmax", {"type": _nonneg_int, "required": True})
+
+# each subcommand: its handler, its help line, and its arguments as add_argument calls
+_SUBCOMMANDS = {
+    "mul": (_cmd_mul, "product of two series (JSON PDSeries args)",
+            [("p", {}), ("q", {}),
+             ("--order", {"type": _nonneg_int, "default": None, "help": "truncate operands first"})]),
+    "inv": (_cmd_inv, "inverse of a series",
+            [("q", {}), ("--order", {"type": _nonneg_int, "default": None, "help": "result truncation order"})]),
+    "sqrt": (_cmd_sqrt, "square root of a series with supplied leading root",
+             [("q", {}), ("--lead", {"required": True, "help": "coefficient e with e^2 = leading"}), _ORDER]),
+    "act": (_cmd_act, "apply a homography to a series over Q(z)",
+            [("q", {}), ("--matrix", {"required": True, "help": "[[a,b],[c,d]] with det 1"}), _ORDER]),
+    "slash": (_cmd_slash, "weight-k slash action on a rational function",
+              [("f", {}), ("--weight", {"type": int, "required": True}), ("--matrix", {"required": True})]),
+    "lift": (_cmd_lift, "the weight-m lifting map applied to a coefficient",
+             [("f", {}), ("--weight", {"type": int, "required": True}), _ORDER, _RING,
+              ("--spec", {"default": None, "help": "generators JSON for --ring graded"})]),
+    "psi-inv": (_cmd_psi_inv, "peel a series into its weighted family", [("q", {}), _ORDER]),
+    "star": (_cmd_star, "star product of two homogeneous graded elements",
+             [("f", {}), ("g", {}), _ORDER_REQUIRED, _SPEC]),
+    "alpha-table": (_cmd_alpha_table, "universal star multipliers alpha_n(k, l)", [_K, _L, _NMAX, _OUT]),
+    "rc": (_cmd_rc, "Rankin-Cohen bracket [f, g]_n at weights (k, l)",
+           [("f", {}), ("g", {}), _K, _L, ("--n", {"type": _nonneg_int, "required": True}), _RING, _SPEC]),
+    "g-table": (_cmd_g_table, "modular forms g_{k,2n} peeled from u^k", [_K, _NMAX, _SPEC, _OUT]),
+    "rewrite-u": (_cmd_rewrite_u, "expand an invariant series in powers of u = x*chi", [("q", {}), _ORDER]),
+    "v-uniformizer": (_cmd_v_uniformizer, "the odd uniformizer sqrt(y^2 xi^2)", [_ORDER_REQUIRED, _SPEC]),
+    "verify": (_cmd_verify, "run an exact verification suite",
+               [("suite", {"help": "suite name, in any case; an unknown name lists them"}),
+                *((f"--{flag}", {"type": int if flag == "seed" else _nonneg_int, "default": None})
+                  for flag in VERIFY_FLAGS)]),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        _SUBCOMMANDS[args.command][0](args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early (`pdo ... | head`): point stdout at

@@ -7,6 +7,12 @@ powers of u, expanding the powers of u as modular-form families (the
 g-forms), and decomposing arbitrary invariants are all implemented here.
 With an invertible weight-1 generator xi, the square root v of y^2 xi^2
 uniformises the full invariant ring.
+
+The g-forms g_{k,2n} of u^k are read off their closed formula, a sum over
+the partitions of n - k into at most k parts, by one partition walk per
+weight that forms no power of u (``g_forms``, which ``decompose_even``
+uses); ``g_closed`` sums the same formula term by term as the reference,
+and peeling u^k with ``psi_inverse`` is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -14,13 +20,14 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
-from math import factorial, prod
+from math import comb, factorial, prod
+from operator import mul
 from typing import Iterator, Sequence
 
 from .coeffs import gamma_tuple, gbinom
 from .errors import NotAUnit, NotHomogeneous, NotInvariant, OrderUnresolvable
 from .graded import GradedElem, GradedRingSpec
-from .lift import WeightedFamily, psi_inverse
+from .lift import WeightedFamily
 from .rankin import _bracket_pairs, _derivs
 from .series import PDSeries, _min_order, series_mul, series_sqrt
 
@@ -37,12 +44,17 @@ __all__ = [
 ]
 
 
+def _unit_index(spec: GradedRingSpec, weight: int) -> int:
+    """The index of the first invertible generator of the given weight."""
+    for j, g in enumerate(spec.generators):
+        if g.weight == weight and g.invertible:
+            return j
+    raise NotAUnit(f"no invertible weight-{weight} generator in {spec!r}")
+
+
 def find_unit_generator(spec: GradedRingSpec, weight: int) -> GradedElem:
     """The first invertible generator of the given weight."""
-    for g in spec.generators:
-        if g.weight == weight and g.invertible:
-            return spec.gen(g.name)
-    raise NotAUnit(f"no invertible weight-{weight} generator in {spec!r}")
+    return spec.gen(spec.generators[_unit_index(spec, weight)].name)
 
 
 def weight0_derivation(a: GradedElem, chi: GradedElem | None = None) -> GradedElem:
@@ -84,18 +96,62 @@ def u_power(k: int, order: int, ring: GradedRingSpec) -> PDSeries:
 
 
 def g_forms(k: int, n_max: int, ring: GradedRingSpec) -> dict[int, GradedElem]:
-    """The modular forms g_{k, 2n} (k <= n <= n_max) peeled from u^k.
+    """The modular forms g_{k, 2n} (k <= n <= n_max) of u^k, by the closed
+    formula that ``g_closed`` evaluates term by term:
+
+        g_{k,2k+2i} = pref(k, i) sum_t orderings(t) gamma_i(t) prod_j chi^(t_j)/(t_j+1)!
+
+    over the partitions t of i into at most k parts.  One walk per weight
+    takes the parts largest first and carries gamma_i down it as a linear
+    functional, so that a partition's leaf reads its gamma off one entry and
+    each entry is built from integer numerators, with no series product.
+    Peeling u^k with ``psi_inverse`` is the tests' oracle.
 
     Returned keyed by weight 2n, zeros included; each nonzero entry is
     homogeneous of its key weight.
     """
-    return _peel(u_power(k, 2 * n_max + 1, ring), k, n_max)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    idx = _unit_index(ring, 2)
+    if k == 0:
+        return {2 * n: ring.one() if n == 0 else ring.zero() for n in range(n_max + 1)}
+    fact = list(accumulate(range(1, 2 * n_max + 1), mul, initial=1))
+    rows = [[comb(t + 1, b) for b in range(t + 1)] for t in range(n_max - k + 1)]
+    return {2 * n: _g_form(k, n - k, idx, ring, fact, rows) for n in range(k, n_max + 1)}
 
 
-def _peel(power: PDSeries, k: int, n_max: int) -> dict[int, GradedElem]:
-    """The g_{k, 2n} (k <= n <= n_max) of u^k = `power`, known to 2 n_max + 1."""
-    fam = psi_inverse(power, 2 * n_max + 1)
-    return {2 * n: fam.component(2 * n) for n in range(k, n_max + 1)}
+def _g_form(k: int, i: int, idx: int, ring: GradedRingSpec, fact: list[int], rows: list[list[int]]) -> GradedElem:
+    """g_{k,2k+2i} by one walk over the partitions of i into at most k parts.
+
+    gamma_i(t) = <F, prod_j P_{t_j}> with F_r = (-1)^r (2n-2-r)!/(n-1-r)!,
+    n = k+i, and P_t(x) = sum_{b<=t} C(t+1, b) x^b (`rows[t]`); since
+    <F, Q P_t> = <F * P_t, Q> with (F * P)_a = sum_b F_{a+b} P_b, each part
+    taken replaces the functional by its product with P_t, truncated to the
+    degree the rest of i can reach, and a leaf's gamma is its entry 0.  A node
+    also carries the runs (part, multiplicity) taken, largest first, and
+    prod_j (t_j+1)! prod_v m_v! over them; at a leaf, the k - parts zero
+    parts give the monomial its chi^(0) factor and the orderings their last
+    multiplicity.
+    """
+    n = k + i
+    num: dict[tuple, int] = {}
+    stack = [(i, 0, i, [(-1) ** r * fact[2 * n - 2 - r] // fact[n - 1 - r] for r in range(i + 1)], (), 1)]
+    while stack:
+        rest, parts, top, fun, runs, den = stack.pop()
+        if not rest:
+            zeros = k - parts
+            mono = ((idx, 0, zeros),) * (zeros > 0) + tuple((idx, t, m) for t, m in reversed(runs))
+            num[mono] = fun[0] * (fact[k] * fact[n] // (den * fact[zeros]))
+            continue
+        # the parts left, each <= t, must still cover the rest of i
+        for t in range(-(-rest // (k - parts)), min(rest, top) + 1):
+            new = [sum(map(mul, rows[t], fun[a : a + t + 1])) for a in range(rest - t + 1)]
+            m = runs[-1][1] + 1 if runs and runs[-1][0] == t else 1
+            runs_t = (*runs[: len(runs) - (m > 1)], (t, m))
+            stack.append((rest - t, parts + 1, t, new, runs_t, den * fact[t + 1] * m))
+    # pref(k, i) orderings(t) / prod_j (t_j+1)! = scale * k! n! / (prod_j (t_j+1)! prod_v m_v!)
+    scale = Fraction((-1) ** i * fact[n - 1], fact[2 * n - 2] * fact[k])
+    return GradedElem._raw(ring, {m: c * scale.numerator for m, c in num.items()}, scale.denominator)
 
 
 def _partitions(n: int, parts: int, top: int) -> Iterator[tuple[int, ...]]:
@@ -156,8 +212,8 @@ def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRingSpec) ->
         if not x.is_zero() and not x.is_homogeneous(0):
             raise NotHomogeneous(f"coefficient a_{j} must have weight 0")
     m_max = (order - 1) // 2
-    powers = zip(a, _u_powers(2 * m_max + 1, ring))
-    gtabs = {k: _peel(power, k, m_max) for k, (ak, power) in enumerate(powers) if not ak.is_zero()}
+    _unit_index(ring, 2)  # u = x*chi needs the weight-2 unit even when every a_k is zero
+    gtabs = {k: g_forms(k, m_max, ring) for k, ak in enumerate(a) if not ak.is_zero()}
     # one derivative chain per a_k and per nonzero g_{k,2n}; a weight-0
     # bracket of order N >= 1 has no a_k g^(N) term, so g_{k,2n} is read to
     # its (m_max-n-1)-th derivative at most, and a_k to its (m_max-max(k,1))-th

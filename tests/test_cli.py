@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -162,6 +163,54 @@ def test_g_table(capsys):
     code, out, _ = run(capsys, "g-table", "--k", "1", "--nmax", "2", "--out", "csv")
     assert code == 0
     assert out.splitlines()[0] == "weight,g_1"
+
+
+RECORDED = json.loads((Path(__file__).parent / "data" / "cli_recorded.json").read_text(encoding="utf-8"))
+
+
+# recorded under CPython 3.10 to 3.12; from 3.13 argparse wraps the top-level
+# usage line differently, with or without this package's changes
+NEW_USAGE_WRAP = pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 wraps usage differently")
+
+
+@pytest.mark.parametrize(
+    "argv", [pytest.param(a, marks=NEW_USAGE_WRAP) if a == "--help" else a for a in sorted(RECORDED["help"])]
+)
+def test_help_prints_the_same_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as ei:
+        main(argv.split())
+    assert ei.value.code == 0
+    assert capsys.readouterr().out == RECORDED["help"][argv]
+
+
+@pytest.mark.parametrize("argv", sorted(RECORDED["g-table"]))
+def test_g_table_prints_the_same_bytes(capsys, argv):
+    assert run(capsys, "g-table", *argv.split()) == (0, RECORDED["g-table"][argv], "")
+
+
+def test_unknown_command_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["frobnicate", "--k", "2"])
+    err = capsys.readouterr().err
+    assert ei.value.code == 2 and "invalid choice" in err and "frobnicate" in err
+    choices = err.split("choose from", 1)[1]
+    assert all(name in choices for name in ("mul", "psi-inv", "g-table", "v-uniformizer", "verify"))
+
+
+def test_a_run_adds_arguments_to_its_own_subparser_only(capsys, monkeypatch):
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        if args[0] not in ("-h", "--help"):
+            added.append((self.prog, args[0]))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    code, out, _ = run(capsys, "slash", json.dumps(ratfunc_json(z)), "--weight", "2", "--matrix", "[[1,1],[0,1]]")
+    assert code == 0 and parse_ratfunc(json.loads(out), "out") == z + 1
+    assert sorted(added) == [("pdo slash", "--matrix"), ("pdo slash", "--weight"), ("pdo slash", "f")]
 
 
 def test_g_table_with_many_parts_exits_0_without_traceback():

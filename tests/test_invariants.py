@@ -4,8 +4,9 @@ from fractions import Fraction as F
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pdo import invariants
+from pdo import invariants, lift, series
 from pdo.coeffs import compositions, gamma_tuple, gbinom
 from pdo.errors import NotAUnit, NotHomogeneous, NotInvariant
 from pdo.graded import GradedElem, GradedRingSpec, Generator
@@ -28,6 +29,9 @@ spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True)])
 GR = spec
 chi = spec.gen("chi")
 xi = spec.gen("xi")
+# the weight-2 unit is not generator 0, and another generator is not a unit
+CHI_LAST = GradedRingSpec([Generator("xi", 1, True), Generator("f", 4, False), Generator("chi", 2, True)])
+NO_CHI = GradedRingSpec([Generator("xi", 1, True), Generator("f", 4, False)])
 
 
 def test_find_unit_generator():
@@ -124,6 +128,74 @@ def test_g_closed_matches_g_forms():
     assert g_closed(3, 0, GR) == chi**3
 
 
+def peeled_g_forms(k: int, n_max: int, ring: GradedRingSpec) -> dict[int, GradedElem]:
+    """The g_{k, 2n} (k <= n <= n_max) peeled from u^k by psi_inverse."""
+    order = 2 * n_max + 1
+    fam = psi_inverse(u_power(k, order, ring), order)
+    return {2 * n: fam.component(2 * n) for n in range(k, n_max + 1)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ring=st.sampled_from([GR, CHI_LAST]),
+    k_n=st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k + 12))),
+)
+def test_g_forms_equals_the_peel_of_u_k(ring, k_n):
+    k, n_max = k_n
+    got = g_forms(k, n_max, ring)
+    assert got == peeled_g_forms(k, n_max, ring)
+    assert list(got) == list(range(2 * k, 2 * n_max + 1, 2))
+
+
+@pytest.mark.parametrize("k,n_max", [(3, 22), (10, 22), (2, 25)])
+def test_g_forms_at_the_benchmark_sizes(k, n_max):
+    assert g_forms(k, n_max, GR) == peeled_g_forms(k, n_max, GR)
+
+
+def test_g_forms_edges_and_the_order_of_its_errors():
+    # a negative k is refused before the ring is searched for its weight-2 unit
+    for ring in (GR, NO_CHI):
+        for k, n_max in ((-1, 4), (-3, -1), (-1, 0)):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                g_forms(k, n_max, ring)
+    # then the unit is needed, even for tables that come out empty or trivial
+    for k, n_max in ((0, 3), (0, -1), (2, 1), (3, 5)):
+        with pytest.raises(NotAUnit):
+            g_forms(k, n_max, NO_CHI)
+    with pytest.raises(NotAUnit):
+        decompose_even([NO_CHI.zero()], 5, NO_CHI)
+    zero, one = GR.zero(), GR.one()
+    assert g_forms(0, 3, GR) == {0: one, 2: zero, 4: zero, 6: zero}
+    assert g_forms(0, 0, GR) == {0: one}
+    assert g_forms(0, -1, GR) == {}
+    for k in range(1, 5):
+        for n_max in (-2, 0, k - 1):
+            assert g_forms(k, n_max, GR) == {}, (k, n_max)
+    # zero entries stay, odd offsets included
+    gt = g_forms(3, 9, CHI_LAST)
+    assert list(gt) == [6, 8, 10, 12, 14, 16, 18]
+    assert gt[6] == CHI_LAST.gen("chi") ** 3
+    assert all(gt[w].is_zero() for w in (8, 12, 16)) and not any(gt[w].is_zero() for w in (10, 14, 18))
+
+
+def test_g_forms_and_decompose_even_form_no_power_of_u(monkeypatch):
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    for module, name in ((invariants, "series_mul"), (series, "series_mul"), (lift, "psi_inverse"),
+                         (invariants, "u_power"), (invariants, "_u_powers")):
+        monkeypatch.setattr(module, name, refuse(name))
+    monkeypatch.setattr(invariants, "psi_inverse", refuse("psi_inverse"), raising=False)
+    with monkeypatch.context() as m:
+        # each entry is built from its numerators, with no product of elements
+        m.setattr(GradedRingSpec, "dot", refuse("dot"))
+        gt = g_forms(3, 22, GR)
+    assert gt[6] == chi**3 and len(gt) == 20
+    assert len(decompose_even(benchmark_shaped_a(3), 23, GR).components) == 12
+
+
 def composition_g_closed(k: int, i: int, ring: GradedRingSpec) -> GradedElem:
     """g_{k,2k+2i} summed over every composition t of i into k parts:
 
@@ -187,9 +259,10 @@ def test_decompose_even_against_oracle():
 
 
 def per_k_decompose_even(a, order, ring):
-    """decompose_even with one g_forms call, and so one u^k, per k."""
+    """decompose_even with one rc_bracket per term, on the g-tables peeled
+    from each u^k."""
     m_max = (order - 1) // 2
-    gtabs = {k: g_forms(k, m_max, ring) for k in range(len(a)) if not a[k].is_zero()}
+    gtabs = {k: peeled_g_forms(k, m_max, ring) for k in range(len(a)) if not a[k].is_zero()}
     comps = {0: a[0]} if a and not a[0].is_zero() else {}
     for m in range(1, m_max + 1):
         acc = ring.sum(
@@ -230,20 +303,20 @@ def test_decompose_even_derives_each_element_once(monkeypatch):
     monkeypatch.setattr(GradedElem, "deriv", lambda self: calls.append(1) or real(self))
     a, order = benchmark_shaped_a(3), 23
     m_max = (order - 1) // 2
-    gtabs = {k: invariants._peel(p, k, m_max) for k, p in zip(range(len(a)), invariants._u_powers(order, GR))}
-    peel_calls = len(calls)
+    gtabs = {k: g_forms(k, m_max, GR) for k in range(len(a))}
     calls.clear()
     decompose_even(a, order, GR)
-    # the bracket sums take one chain per a_k, to its (m_max - max(k,1))-th
-    # derivative, and one per nonzero g_{k,2n}, to its (m_max-n-1)-th; one
-    # rc_bracket per (k, n, m) made 440 deriv calls here
+    # the g-tables take no derivative; the bracket sums take one chain per
+    # a_k, to its (m_max - max(k,1))-th derivative, and one per nonzero
+    # g_{k,2n}, to its (m_max-n-1)-th; one rc_bracket per (k, n, m) made 440
+    # deriv calls here
     chains = sum(m_max - max(k, 1) for k in gtabs) + sum(
         max(m_max - n - 1, 0)
         for k, gtab in gtabs.items()
         for n in range(max(k, 1), m_max + 1)
         if not gtab[2 * n].is_zero()
     )
-    assert len(calls) - peel_calls == chains == 82
+    assert len(calls) == chains == 82
 
 
 def test_decompose_even_examples():
@@ -439,9 +512,9 @@ def test_u_power_takes_k_minus_1_products(monkeypatch, k):
     assert u_power(k, 2 * k + 9, GR) == closed_u_power(k, 2 * k + 9, GR)
     assert len(calls) == k - 1
     calls.clear()
-    # decompose_even's chain 1, u, ..., u^{k-1}: u itself is not a product
+    # decompose_even reads its g-tables off their closed formula
     decompose_even([spec.one()] * k, 9, GR)
-    assert len(calls) == max(k - 2, 0)
+    assert not calls
 
 
 def test_powers_of_u_stop_at_the_order_their_caller_reads(monkeypatch):
@@ -460,7 +533,7 @@ def test_powers_of_u_stop_at_the_order_their_caller_reads(monkeypatch):
     a = rewrite_in_u(q)
     seen.clear()
     decompose_even(a, 13, GR)
-    assert len(seen) == 4 and all(p.order is None or p.order <= 13 for p in seen)
+    assert not seen
 
 
 def test_rewrite_in_u_needs_finite_order():
