@@ -290,7 +290,7 @@ _SUBCOMMANDS = {
     "alpha-table": (_cmd_alpha_table, "universal star multipliers alpha_n(k, l)", [_K, _L, _NMAX, _OUT]),
     "rc": (_cmd_rc, "Rankin-Cohen bracket [f, g]_n at weights (k, l)",
            [("f", {}), ("g", {}), _K, _L, ("--n", {"type": _nonneg_int, "required": True}), _RING, _SPEC]),
-    "g-table": (_cmd_g_table, "modular forms g_{k,2n} peeled from u^k", [_K, _NMAX, _SPEC, _OUT]),
+    "g-table": (_cmd_g_table, "modular forms g_{k,2n} of u^k, from their closed formula", [_K, _NMAX, _SPEC, _OUT]),
     "rewrite-u": (_cmd_rewrite_u, "expand an invariant series in powers of u = x*chi", [("q", {}), _ORDER]),
     "v-uniformizer": (_cmd_v_uniformizer, "the odd uniformizer sqrt(y^2 xi^2)", [_ORDER_REQUIRED, _SPEC]),
     "verify": (_cmd_verify, "run an exact verification suite",

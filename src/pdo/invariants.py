@@ -24,11 +24,11 @@ from math import comb, factorial, prod
 from operator import mul
 from typing import Iterator, Sequence
 
-from .coeffs import gamma_tuple, gbinom
+from .coeffs import gamma_tuple
 from .errors import NotAUnit, NotHomogeneous, NotInvariant, OrderUnresolvable
 from .graded import GradedElem, GradedRingSpec
 from .lift import WeightedFamily
-from .rankin import _bracket_pairs, _derivs
+from .rankin import _bracket_pairs, _derivs, alpha_weight0
 from .series import PDSeries, _min_order, series_mul, series_sqrt
 
 __all__ = [
@@ -200,8 +200,7 @@ def g_closed(k: int, i: int, ring: GradedRingSpec) -> GradedElem:
 def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRingSpec) -> WeightedFamily:
     """The weighted family of q = sum_k a_k u^k from weight-0 coefficients a_k:
 
-        f_{2m} = (-1)^m ((m-1)!/(2m-2)!) sum_{k<=n<=m, n>=1} (-1)^n
-                 ((2n-1)!(m-n)!/((n-1)!(m+n-1))) C(m, m-n) [a_k, g_{k,2n}]_{m-n}
+        f_{2m} = sum_{k, n<=m} alpha_{m-n}(0, 2n) [a_k, g_{k,2n}]_{m-n}
 
     for m >= 1, with f_0 = a_0 (the n = 0 terms of the displayed double sum
     degenerate and are dropped; the convention is validated against the
@@ -228,12 +227,10 @@ def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRingSpec) ->
     if a and not a[0].is_zero():
         comps[0] = a[0]
     for m in range(1, m_max + 1):
-        pref = Fraction((-1) ** m * factorial(m - 1), factorial(2 * m - 2))
         pairs = []
         for (k, n), dgn in dg.items():
             if n <= m:
-                c = Fraction((-1) ** n * factorial(2 * n - 1) * factorial(m - n), factorial(n - 1) * (m + n - 1))
-                pairs.extend(_bracket_pairs(da[k], dgn, 0, 2 * n, m - n, pref * c * gbinom(m, m - n)))
+                pairs.extend(_bracket_pairs(da[k], dgn, 0, 2 * n, m - n, alpha_weight0(m - n, 2 * n)))
         comps[2 * m] = ring.dot(pairs)
     return WeightedFamily(ring, comps)
 
@@ -279,8 +276,11 @@ def rewrite_in_u(q: PDSeries, order: int | None = None) -> list[GradedElem]:
 
 
 def v_uniformizer(order: int, ring: GradedRingSpec) -> PDSeries:
-    """The odd uniformizer v = sqrt(y^2 xi^2) with leading coefficient xi."""
+    """The odd uniformizer v = sqrt(y^2 xi^2) with leading coefficient xi;
+    known to O(y^order), where it is zero for order <= 1."""
     xi = find_unit_generator(ring, 1)
+    if order <= 1:
+        return PDSeries.zero(ring, order)
     q = series_mul(
         PDSeries.monomial(ring, ring.one(), 2, order + 1),
         PDSeries.monomial(ring, xi * xi, 0),

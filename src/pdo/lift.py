@@ -212,65 +212,21 @@ def psi_assemble(F: WeightedFamily, order: int | None = None) -> PDSeries:
     return PDSeries.sum(F.ring, parts, order)
 
 
-# -- explicit even/odd coefficient conversions --
-
-
-def _even_fwd_coeff(m: int, r: int) -> Fraction:
-    return (
-        Fraction(factorial(m - 1) * factorial(2 * m - 2 * r - 1))
-        / (factorial(m - r - 1) * factorial(2 * m - r - 1))
-    ) * gbinom(-m + r - 1, r)
-
-
-def _even_bwd_coeff(n: int, r: int) -> Fraction:
-    return (
-        Fraction(factorial(n - 1), factorial(2 * n - 2))
-        * Fraction(factorial(2 * n - 2 - r), factorial(n - 1 - r))
-        * gbinom(n, r)
-    )
-
-
-def _odd_fwd_coeff(m: int, r: int) -> Fraction:
-    return (
-        Fraction(factorial(2 * m + 1) * factorial(2 * m), factorial(m) ** 2)
-        * Fraction((-1) ** r * factorial(m - r) ** 2)
-        / (16**r * factorial(r) * factorial(2 * m - 2 * r + 1) * factorial(2 * m - r))
-    )
-
-
-def _odd_bwd_coeff(n: int, r: int) -> Fraction:
-    # (2n)!(2n+1)!/((2n-1)! n!^2) * (2n-1-r)!(n-r)!^2/(16^r (2n-2r)! r! (2n-2r+1)!)
-    # with the factorial ratio (2n-1-r)!/(2n-1)! kept as a product of ratios so
-    # the n = 0 boundary stays finite.
-    acc = Fraction(factorial(2 * n) * factorial(2 * n + 1), factorial(n) ** 2)
-    acc *= Fraction(factorial(n - r) ** 2)
-    acc /= 16**r * factorial(2 * n - 2 * r) * factorial(r) * factorial(2 * n - 2 * r + 1)
-    for j in range(r):
-        acc /= 2 * n - 1 - j
-    return acc
-
-
-# direction: (coefficient, (a, b) with input index a*s + b,
-#             (c, d) with output index c*n + d, least n)
-_CLOSED = {
-    "even_fwd": (_even_fwd_coeff, (2, 0), (1, 0), 1),
-    "even_bwd": (_even_bwd_coeff, (1, 0), (2, 0), 1),
-    "odd_fwd": (_odd_fwd_coeff, (2, 1), (2, 1), 0),
-    "odd_bwd": (_odd_bwd_coeff, (2, 1), (2, 1), 0),
-}
-
-
 def closed_pairs(direction: str, family: WeightedFamily) -> WeightedFamily:
-    """Convert between a weighted family and operator coefficients in closed form.
+    """Convert between a weighted family and operator coefficients: the
+    transfer maps, indexed by parity.
 
     even_fwd : {2n: f_2n, n>=1}      -> {m: h_m}     (x-exponent coefficients)
     even_bwd : {m: h_m, m>=1}        -> {2n: f_2n}
     odd_fwd  : {2n+1: f_{2n+1}}      -> {2m+1: h_{2m+1}} (y-exponent coefficients)
     odd_bwd  : {2m+1: h_{2m+1}}      -> {2n+1: f_{2n+1}}
 
-    Output n is sum_{lo <= s <= n} coeff(n, n - s) * (input s)^{(n - s)}.
+    The forward maps read psi_assemble up to the largest input index; the
+    backward maps peel the series with those coefficients by psi_inverse.
+    In the graded model each coefficient must be homogeneous of the weight
+    of its y exponent (h_m of weight 2m in the even maps).
     """
-    if direction not in _CLOSED:
+    if direction not in ("even_fwd", "even_bwd", "odd_fwd", "odd_bwd"):
         raise ValueError(f"unknown direction {direction!r}")
     ring = family.ring
     keys = family.components
@@ -280,15 +236,16 @@ def closed_pairs(direction: str, family: WeightedFamily) -> WeightedFamily:
         raise ParityMismatch("even_bwd expects positive operator exponents")
     if direction.startswith("odd") and any(m % 2 == 0 or m < 1 for m in keys):
         raise ParityMismatch(f"{direction} expects positive odd indices")
-    coeff, (a, b), (c, d), lo = _CLOSED[direction]
-    top = max(((m - b) // a for m in keys), default=lo - 1)
-    out: dict[int, object] = {}
-    for n in range(lo, top + 1):
-        parts = ((n - s, family.component(a * s + b)) for s in range(lo, n + 1))
-        out[c * n + d] = ring.sum(
-            coeff(n, r) * f.deriv_n(r) for r, f in parts if not f.is_zero()
-        )
-    return WeightedFamily(ring, out)
+    top = max(keys, default=0)
+    if direction == "even_fwd":
+        q = psi_assemble(family, top + 1)
+        return WeightedFamily(ring, {m: q.coeff(2 * m) for m in range(1, top // 2 + 1)})
+    if direction == "odd_fwd":
+        q = psi_assemble(family, top + 1)
+        return WeightedFamily(ring, {m: q.coeff(m) for m in range(1, top + 1, 2)})
+    if direction == "even_bwd":
+        return psi_inverse(PDSeries(ring, {2 * m: h for m, h in keys.items()}, 2 * top + 1))
+    return psi_inverse(PDSeries(ring, keys, top + 1))
 
 
 def equivariance_residual(

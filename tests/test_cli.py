@@ -264,6 +264,14 @@ def test_v_uniformizer(capsys):
     assert got["val"] == 1
 
 
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_v_uniformizer_at_order_at_most_1_is_zero(capsys, order):
+    code, out, err = run(capsys, "v-uniformizer", "--order", order)
+    assert (code, err) == (0, "")
+    spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True)])
+    assert json.loads(out) == series_json(PDSeries.zero(spec, int(order)))
+
+
 def test_verify(capsys):
     code, out, _ = run(capsys, "verify", "RHO", "--umax", "8")
     assert code == 0

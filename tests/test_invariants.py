@@ -22,7 +22,7 @@ from pdo.invariants import (
     weight0_derivation,
 )
 from pdo.lift import WeightedFamily, psi, psi_inverse
-from pdo.rankin import rc_bracket
+from pdo.rankin import alpha_weight0, rc_bracket
 from pdo.series import PDSeries, series_inverse, series_mul
 
 spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True)])
@@ -327,6 +327,15 @@ def test_decompose_even_examples():
     assert fam2.components == {0: spec.one()}
 
 
+def test_decompose_even_pair_scale_is_alpha_weight0():
+    # the scale of [a_k, g_{k,2n}]_{m-n} in f_{2m}, written out from factorials
+    for m in range(1, 30):
+        pref = F((-1) ** m * factorial(m - 1), factorial(2 * m - 2))
+        for n in range(1, m + 1):
+            c = F((-1) ** n * factorial(2 * n - 1) * factorial(m - n), factorial(n - 1) * (m + n - 1))
+            assert alpha_weight0(m - n, 2 * n) == pref * c * gbinom(m, m - n), (m, n)
+
+
 def test_decompose_even_rejects_inhomogeneous():
     with pytest.raises(NotHomogeneous):
         decompose_even([chi], 10, GR)
@@ -396,8 +405,16 @@ def test_v_uniformizer():
 
 def test_v_uniformizer_needs_xi():
     chi_only = GradedRingSpec([Generator("chi", 2, True)])
-    with pytest.raises(NotAUnit):
-        v_uniformizer(10, chi_only)
+    for order in (10, 1, 0):
+        with pytest.raises(NotAUnit):
+            v_uniformizer(order, chi_only)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_v_uniformizer_at_low_order_is_the_truncation(order):
+    # known to O(y^N) with N <= 1, v = xi y + ... is the zero series
+    v = v_uniformizer(order, GR)
+    assert v == v_uniformizer(12, GR).truncate(order) and v.order == order
 
 
 def test_odd_lift_square_expands_in_u_algebra():

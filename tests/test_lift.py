@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdo.action import act_series, slash
-from pdo.coeffs import lift_coeff
+from pdo.coeffs import gbinom, lift_coeff
 from pdo.errors import (
     NegativeOddWeight,
     NotAUnit,
@@ -211,8 +213,141 @@ def test_closed_pairs_parity_checks():
         closed_pairs("odd_fwd", WeightedFamily(QZ, {2: z}))
     with pytest.raises(ParityMismatch):
         closed_pairs("even_fwd", WeightedFamily(QZ, {3: z}))
-    with pytest.raises(ValueError):
-        closed_pairs("sideways", WeightedFamily(QZ, {2: z}))
+    # an unknown direction is refused before any parity check
+    for comps in ({2: z}, {0: z}):
+        with pytest.raises(ValueError):
+            closed_pairs("sideways", WeightedFamily(QZ, comps))
+
+
+# -- the parity-indexed transfer maps against their closed formulas --
+
+
+def _even_fwd_coeff(m: int, r: int) -> F:
+    return (
+        F(factorial(m - 1) * factorial(2 * m - 2 * r - 1))
+        / (factorial(m - r - 1) * factorial(2 * m - r - 1))
+    ) * gbinom(-m + r - 1, r)
+
+
+def _even_bwd_coeff(n: int, r: int) -> F:
+    return (
+        F(factorial(n - 1), factorial(2 * n - 2))
+        * F(factorial(2 * n - 2 - r), factorial(n - 1 - r))
+        * gbinom(n, r)
+    )
+
+
+def _odd_fwd_coeff(m: int, r: int) -> F:
+    return (
+        F(factorial(2 * m + 1) * factorial(2 * m), factorial(m) ** 2)
+        * F((-1) ** r * factorial(m - r) ** 2)
+        / (16**r * factorial(r) * factorial(2 * m - 2 * r + 1) * factorial(2 * m - r))
+    )
+
+
+def _odd_bwd_coeff(n: int, r: int) -> F:
+    # (2n)!(2n+1)!/((2n-1)! n!^2) * (2n-1-r)!(n-r)!^2/(16^r (2n-2r)! r! (2n-2r+1)!)
+    # with the factorial ratio (2n-1-r)!/(2n-1)! kept as a product of ratios so
+    # the n = 0 boundary stays finite.
+    acc = F(factorial(2 * n) * factorial(2 * n + 1), factorial(n) ** 2)
+    acc *= F(factorial(n - r) ** 2)
+    acc /= 16**r * factorial(2 * n - 2 * r) * factorial(r) * factorial(2 * n - 2 * r + 1)
+    for j in range(r):
+        acc /= 2 * n - 1 - j
+    return acc
+
+
+# direction: (coefficient, (a, b) with input index a*s + b,
+#             (c, d) with output index c*n + d, least n)
+_CLOSED = {
+    "even_fwd": (_even_fwd_coeff, (2, 0), (1, 0), 1),
+    "even_bwd": (_even_bwd_coeff, (1, 0), (2, 0), 1),
+    "odd_fwd": (_odd_fwd_coeff, (2, 1), (2, 1), 0),
+    "odd_bwd": (_odd_bwd_coeff, (2, 1), (2, 1), 0),
+}
+
+
+def closed_form_pairs(direction: str, family: WeightedFamily) -> WeightedFamily:
+    """closed_pairs by hand-derived factorial formulas, the oracle: output n
+    is sum_{lo <= s <= n} coeff(n, n - s) * (input s)^{(n - s)}."""
+    coeff, (a, b), (c, d), lo = _CLOSED[direction]
+    ring = family.ring
+    top = max(((m - b) // a for m in family.components), default=lo - 1)
+    out = {}
+    for n in range(lo, top + 1):
+        parts = ((n - s, family.component(a * s + b)) for s in range(lo, n + 1))
+        out[c * n + d] = ring.sum(coeff(n, r) * f.deriv_n(r) for r, f in parts if not f.is_zero())
+    return WeightedFamily(ring, out)
+
+
+def test_closed_formulas_are_lift_coefficients():
+    for m in range(1, 8):
+        for r in range(m):
+            assert _even_fwd_coeff(m, r) == lift_coeff(2 * (m - r), r)
+    for m in range(8):
+        for r in range(m + 1):
+            assert _odd_fwd_coeff(m, r) == lift_coeff(2 * (m - r) + 1, r)
+
+
+# direction: (input indices, weight of a graded coefficient at index m)
+PAIR_INDICES = {
+    "even_fwd": (range(2, 11, 2), lambda m: m),
+    "even_bwd": (range(1, 6), lambda m: 2 * m),
+    "odd_fwd": (range(1, 10, 2), lambda m: m),
+    "odd_bwd": (range(1, 10, 2), lambda m: m),
+}
+
+
+@st.composite
+def qz_coeffs(draw, weight):
+    """Q(z) coefficients, whose weights are formal; poles recur across draws."""
+    num = (draw(st.integers(-3, 3)), draw(st.integers(-2, 2)))
+    return RatFunc(num, (-draw(st.integers(-2, 2)), 1))
+
+
+@st.composite
+def graded_coeffs(draw, weight):
+    """Homogeneous elements of the given weight: sums of products of
+    derivatives of chi and xi, brought to the weight by a power of xi."""
+    out = spec.zero()
+    for c, factors in draw(st.lists(st.tuples(
+        st.integers(-3, 3), st.lists(st.tuples(st.sampled_from(["chi", "xi"]), st.integers(0, 2)), max_size=2)
+    ), max_size=3)):
+        mono = prod((spec.gen(name, j) for name, j in factors), start=spec.one())
+        out = out + c * mono * xi ** (weight - mono.weight())
+    return out
+
+
+@pytest.mark.parametrize("ring", [QZ, spec], ids=["qz", "graded"])
+@pytest.mark.parametrize("direction", sorted(PAIR_INDICES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_closed_pairs_equals_the_closed_formulas(direction, ring, data):
+    indices, weight = PAIR_INDICES[direction]
+    keep = data.draw(st.lists(st.sampled_from(indices), unique=True), "indices")
+    draw_coeff = qz_coeffs if ring is QZ else graded_coeffs
+    family = WeightedFamily(ring, {m: data.draw(draw_coeff(weight(m)), f"f_{m}") for m in keep})
+    got, want = closed_pairs(direction, family), closed_form_pairs(direction, family)
+    assert got == want and got.start == want.start
+
+
+@pytest.mark.parametrize("ring", [QZ, spec], ids=["qz", "graded"])
+@pytest.mark.parametrize("direction", sorted(PAIR_INDICES))
+def test_closed_pairs_of_the_empty_family(direction, ring):
+    empty = WeightedFamily(ring, {})
+    got = closed_pairs(direction, empty)
+    assert got == closed_form_pairs(direction, empty) == empty and got.start == 0
+
+
+@pytest.mark.parametrize(
+    "direction, comps",
+    [("even_fwd", {2: chi, 4: xi}), ("even_bwd", {1: chi, 2: chi}), ("odd_fwd", {1: chi}), ("odd_bwd", {3: xi})],
+)
+def test_closed_pairs_needs_each_graded_coefficient_at_its_weight(direction, comps):
+    # in the graded model the y^j coefficient must have weight j: h_m sits
+    # at y^{2m} in the even maps, every other coefficient at y^{index}
+    with pytest.raises(NotHomogeneous):
+        closed_pairs(direction, WeightedFamily(spec, comps))
 
 
 def test_equivariance_residual_zero():
