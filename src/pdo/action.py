@@ -108,14 +108,14 @@ def modular_pair() -> CocyclePair:
     return CocyclePair(lambda g: g.s() ** 2, lambda g: RatFunc(()), "modular")
 
 
-def coboundary_pair(p: PFunc | None = None) -> CocyclePair:
-    """r_g = -p_g^{-1} d(p_g) with d = -d/dz, i.e. r_g = p_g^{-1} (p_g)'.
+def coboundary_pair() -> CocyclePair:
+    """p = (cz+d)^2, r_g = -p_g^{-1} d(p_g) with d = -d/dz, i.e. r_g = p_g^{-1} (p_g)'.
 
     This is the choice that moves the coefficient to the other side:
     x^{-1}.g = p_g x^{-1} - d(p_g) = x^{-1} p_g.
     """
-    pf = p if p is not None else (lambda g: g.s() ** 2)
-    return CocyclePair(pf, lambda g: pf(g).inverse() * pf(g).deriv(), "coboundary")
+    p = lambda g: g.s() ** 2
+    return CocyclePair(p, lambda g: p(g).inverse() * p(g).deriv(), "coboundary")
 
 
 def kappa_pair(kappa: Fraction | int) -> CocyclePair:

@@ -49,7 +49,7 @@ def _load_value(arg: str, field: str):
             raise ParseError(f"{field}: cannot read {arg!r}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{field}: invalid JSON: {exc}") from None
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations as _combinations
+from itertools import islice
 from itertools import product as _cartesian
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeCaseA1, NegativeOddWeight
 
@@ -124,13 +125,25 @@ def lift_coeff(m: int, n: int) -> Fraction:
         raise ValueError("n must be >= 0")
     if m < 0 and m % 2 != 0:
         raise NegativeOddWeight(f"no lifting map at negative odd weight {m}")
-    acc = Fraction((-1) ** n, 4**n * factorial(n))
-    for i in range(n):
-        top = (m + 2 * i) * (m + 2 * i + 2)
+    return next(islice(_lift_coeffs(m), n, None), Fraction(0))
+
+
+def _lift_coeffs(m: int) -> Iterator[Fraction]:
+    """alpha_m(0), alpha_m(1), ... of psi_m, stepped by their ratio
+
+        alpha_m(n) = alpha_m(n-1) * -(m+2n-2)(m+2n) / (4n(m+n-1))
+
+    from alpha_m(0) = 1.  The first zero, at n = -m/2 for m < 0 and n = 1
+    for m = 0, ends the sequence (the exact lifts); for m > 0 it never
+    ends."""
+    a, n = Fraction(1), 0
+    while True:
+        yield a
+        n += 1
+        top = -(m + 2 * n - 2) * (m + 2 * n)
         if top == 0:
-            return Fraction(0)
-        acc *= Fraction(top, m + i)
-    return acc
+            return
+        a *= Fraction(top, 4 * n * (m + n - 1))
 
 
 def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:

@@ -91,30 +91,16 @@ class GradedRingSpec(Frozen):
         return self.scalar(x)
 
     def sum(self, terms: Iterable["GradedElem | Scalar"]) -> "GradedElem":
-        """The sum of `terms` in this ring, in one pass: numerators are
-        added over a running common denominator, which grows (rescaling what
-        is summed so far) only when a term's denominator does not divide it."""
-        out: dict[Mono, int] = {}
-        den = 1
-        for t in terms:
-            t = self.coerce(t)
-            d = t._den
-            if den % d:
-                k = d // gcd(den, d)
-                den *= k
-                for m in out:
-                    out[m] *= k
-            k = den // d
-            for m, c in t._num.items():
-                prev = out.get(m)
-                out[m] = c * k if prev is None else prev + c * k
-        return GradedElem._raw(self, out, den)
+        """The sum of `terms` in this ring: the ``dot`` of one with each term,
+        so the graded ring has one accumulator."""
+        one = self.one()
+        return self.dot((one, t) for t in terms)
 
     def dot(self, pairs: Iterable[tuple["GradedElem", "GradedElem"]]) -> "GradedElem":
         """The sum of the products x * y over `pairs` of elements of this
-        ring, in one pass: each pair's integer numerators are multiplied
-        straight into one accumulator over a running common denominator, as
-        in ``sum``, and the result is reduced once."""
+        ring, in one pass: integer numerators are multiplied into one
+        accumulator over a running common denominator, which grows (rescaling
+        the sum so far) only when a pair's denominator does not divide it."""
         out: dict[Mono, int] = {}
         den = 1
         for x, y in pairs:

@@ -179,10 +179,7 @@ def g_closed(k: int, i: int, ring: GradedRingSpec) -> GradedElem:
         raise ValueError("k must be >= 1")
     if i < 0:
         raise ValueError("i must be >= 0")
-    chi = find_unit_generator(ring, 2)
-    derivs = [chi]
-    while len(derivs) <= i:
-        derivs.append(derivs[-1].deriv())
+    derivs = _derivs(find_unit_generator(ring, 2), i)
     terms = []
     for part in _partitions(i, k, i):
         t = part + (0,) * (k - len(part))

@@ -14,9 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
-from .coeffs import gbinom, lift_coeff, omega
+from .coeffs import _lift_coeffs, gbinom, lift_coeff, omega
 from .errors import (
     NegativeOddWeight,
     NotAUnit,
@@ -131,24 +131,6 @@ def psi(m: int, f, order: int | None = None, ring=None) -> PDSeries:
             deriv = deriv.deriv()
         out[m + 2 * n] = a * deriv
     return PDSeries(ring, out, EXACT if exact else order)
-
-
-def _lift_coeffs(m: int) -> Iterator[Fraction]:
-    """alpha_m(0), alpha_m(1), ... of psi_m, stepped by their ratio
-
-        alpha_m(n) = alpha_m(n-1) * -(m+2n-2)(m+2n) / (4n(m+n-1))
-
-    from alpha_m(0) = 1.  The first zero, at n = -m/2 for m < 0 and n = 1
-    for m = 0, ends the sequence (the exact lifts); for m > 0 it never
-    ends."""
-    a, n = Fraction(1), 0
-    while True:
-        yield a
-        n += 1
-        top = -(m + 2 * n - 2) * (m + 2 * n)
-        if top == 0:
-            return
-        a *= Fraction(top, 4 * n * (m + n - 1))
 
 
 def psi_neg_via_xi(k: int, f, xi, order: int, ring=None) -> PDSeries:
@@ -280,7 +262,6 @@ class NegOddReport(NamedTuple):
     nullity: int
     forced_zero_prefix: bool
     matches_shifted_lift: bool
-    generators: Sequence[GMatrix] = ()
 
     @property
     def ok(self) -> bool:
@@ -325,41 +306,36 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def negodd_nonexistence(
-    k: int, order: int, gens: Sequence[GMatrix] | None = None
-) -> NegOddReport:
+def negodd_nonexistence(k: int, order: int) -> NegOddReport:
     """Certify that no lifting map with unit leading term exists at weight -2k+1.
 
     Builds the linear constraints that equivariance against the generators
-    imposes on candidate coefficients alpha(0..order), computes the exact
-    nullspace, and checks: a one-dimensional solution space, alpha(r) = 0
-    forced for all r < 2k, and the normalized solution equal to the
-    weight-(2k+1) lift composed with the 2k-th derivative.
+    [[1, 1], [0, 1]] and [[1, 0], [1, 1]] of SL(2, Z) imposes on candidate
+    coefficients alpha(0..order), computes the exact nullspace, and checks: a
+    one-dimensional solution space, alpha(r) = 0 forced for all r < 2k, and
+    the normalized solution equal to the weight-(2k+1) lift composed with the
+    2k-th derivative.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if gens is None:
-        gens = [GMatrix(1, 1, 0, 1), GMatrix(1, 0, 1, 1)]
     m = -2 * k + 1
     ncols = order + 1
     rows: list[list[Fraction]] = []
-    for g in gens:
-        if g.c == 0:
-            continue  # the unipotent generator imposes no constraints
-        for u in range(order + 1):
-            for r in range(u + 1):
-                a = (
-                    Fraction(factorial(u), factorial(r))
-                    * gbinom(u + m - 1, u - r)
-                    * (-1) ** (u - r)
-                )
-                b = omega(m + 2 * r, u - r)
-                if a == 0 and b == 0:
-                    continue
-                row = [Fraction(0)] * ncols
-                row[u] += a
-                row[r] -= b
-                rows.append(row)
+    # T = [[1, 1], [0, 1]] imposes no constraints; [[1, 0], [1, 1]] imposes these
+    for u in range(order + 1):
+        for r in range(u + 1):
+            a = (
+                Fraction(factorial(u), factorial(r))
+                * gbinom(u + m - 1, u - r)
+                * (-1) ** (u - r)
+            )
+            b = omega(m + 2 * r, u - r)
+            if a == 0 and b == 0:
+                continue
+            row = [Fraction(0)] * ncols
+            row[u] += a
+            row[r] -= b
+            rows.append(row)
     basis = _nullspace(rows, ncols)
     nullity = len(basis)
     forced = all(vec[r] == 0 for vec in basis for r in range(min(2 * k, ncols)))
@@ -371,4 +347,4 @@ def negodd_nonexistence(
             vec[n] * scale == lift_coeff(2 * k + 1, n - 2 * k)
             for n in range(2 * k, ncols)
         )
-    return NegOddReport(k, order, nullity, forced, matches, tuple(gens))
+    return NegOddReport(k, order, nullity, forced, matches)

@@ -16,10 +16,10 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from math import factorial
 
-from .coeffs import gbinom
+from .coeffs import _lift_coeffs, gbinom
 from .errors import EdgeCaseWeightZero, NotHomogeneous
 from .graded import GradedElem, GradedRingSpec, Generator
-from .lift import WeightedFamily, _lift_coeffs, psi, psi_assemble, psi_inverse, ring_of
+from .lift import WeightedFamily, psi, psi_assemble, psi_inverse, ring_of
 from .series import series_mul
 
 __all__ = [

@@ -135,8 +135,7 @@ class PDSeries(Frozen):
         return sorted(self.coeffs)
 
     def truncate(self, order: int) -> "PDSeries":
-        new_order = order if self.order is None else min(order, self.order)
-        return PDSeries(self.ring, self.coeffs, new_order)
+        return PDSeries(self.ring, self.coeffs, _min_order(order, self.order))
 
     # -- linear operations --
 
@@ -178,9 +177,7 @@ class PDSeries(Frozen):
     def agree(self, other: "PDSeries", upto: int | None = None) -> bool:
         """Coefficientwise equality below min(orders, upto)."""
         self._check_ring(other)
-        bound = _min_order(self.order, other.order)
-        if upto is not None:
-            bound = upto if bound is None else min(bound, upto)
+        bound = _min_order(_min_order(self.order, other.order), upto)
         if bound is None:
             return self.coeffs == other.coeffs
         for n in set(self.coeffs) | set(other.coeffs):

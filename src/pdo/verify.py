@@ -248,10 +248,9 @@ def _default_gs() -> list[GMatrix]:
     return [GMatrix(1, 1, 0, 1), GMatrix(1, 0, 1, 1), GMatrix(2, 1, 3, 2)]
 
 
-def suite_bol(hmax: int = 5, fs=None, gs=None) -> SuiteReport:
+def suite_bol(hmax: int = 5) -> SuiteReport:
     """(f|_{2-h} g)^(h-1) = f^(h-1) |_h g for h > 0."""
-    fs = fs if fs is not None else _default_fs()
-    gs = gs if gs is not None else _default_gs()
+    fs, gs = _default_fs(), _default_gs()
     cases = (
         (f"h={h}, f={f}, g={g!r}", slash(f, 2 - h, g).deriv_n(h - 1), slash(f.deriv_n(h - 1), h, g))
         for h in range(1, hmax + 1)

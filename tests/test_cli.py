@@ -342,6 +342,9 @@ QZ_ONE = '{"num":["1/1"],"den":["1/1"]}'
         (["verify", "RHO", "--pmax", "3"], "--pmax"),
         (["verify", "WZ1", "--seed", "2"], "--seed"),
         (["verify", "NOPE"], "suite"),
+        # json.loads raises RecursionError here, and ValueError past int()'s 4,300 digits
+        (["inv", "[" * 100000], "error: q: invalid JSON"),
+        (["inv", "[" + "1" * 5000 + "]"], "error: q: invalid JSON"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, field):
@@ -353,3 +356,4 @@ def test_malformed_input_exits_2_without_traceback(argv, field):
     )
     assert proc.returncode == 2, proc.stderr
     assert field in proc.stderr and "Traceback" not in proc.stderr
+

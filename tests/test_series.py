@@ -250,12 +250,57 @@ def test_split_even_odd():
     assert (even + odd).coeffs == q.coeffs
 
 
-def test_truncate_and_agree():
-    q = PDSeries(QZ, {0: 1, 4: z}, EXACT)
-    t = q.truncate(3)
-    assert t.order == 3 and t.coeffs == {0: RatFunc.const(1)}
-    assert q.agree(t)  # agreement below min order
-    assert not q.agree(PDSeries(QZ, {0: 2}, 3))
+@pytest.mark.parametrize(
+    "order, n, kept, new_order",
+    [
+        (EXACT, 3, [0], 3),
+        (EXACT, 5, [0, 4], 5),
+        (5, 3, [0], 3),
+        (5, 5, [0, 4], 5),
+        (5, 8, [0, 4], 5),
+    ],
+)
+def test_truncate(order, n, kept, new_order):
+    full = {0: RatFunc.const(1), 4: z}
+    t = PDSeries(QZ, full, order).truncate(n)
+    assert t.order == new_order and t.coeffs == {e: full[e] for e in kept}
+
+
+# P4 and Q4 differ only at y^4, so they agree exactly when the bound
+# min(p.order, q.order, upto) is at most 4; with no bound at all, every
+# coefficient is compared
+P4, Q4 = {0: 1, 2: z, 4: 1}, {0: 1, 2: z, 4: 2}
+
+
+@pytest.mark.parametrize(
+    "p, p_order, q, q_order, upto, agree",
+    [
+        # the asserts of the former test_truncate_and_agree
+        pytest.param({0: 1, 4: z}, EXACT, {0: 1}, 3, None, True, id="exact-vs-its-truncation"),
+        pytest.param({0: 1, 4: z}, EXACT, {0: 2}, 3, None, False, id="exact-vs-other-at-y0"),
+        # every combination of exact (None) and finite orders and upto
+        (P4, EXACT, Q4, EXACT, None, False),
+        ({0: 1, 4: z}, EXACT, {0: 1, 4: z}, EXACT, None, True),
+        (P4, EXACT, Q4, EXACT, 4, True),
+        (P4, EXACT, Q4, EXACT, 5, False),
+        (P4, EXACT, Q4, 4, None, True),
+        (P4, EXACT, Q4, 5, None, False),
+        (P4, EXACT, Q4, 6, 4, True),
+        (P4, EXACT, Q4, 6, 5, False),
+        (P4, 4, Q4, EXACT, None, True),
+        (P4, 5, Q4, EXACT, None, False),
+        (P4, 6, Q4, EXACT, 4, True),
+        (P4, 6, Q4, EXACT, 5, False),
+        (P4, 4, Q4, 6, None, True),
+        (P4, 6, Q4, 5, None, False),
+        (P4, 6, Q4, 6, 4, True),
+        (P4, 6, Q4, 6, 9, False),
+        (P4, 9, Q4, 4, 9, True),
+    ],
+)
+def test_agree(p, p_order, q, q_order, upto, agree):
+    p, q = PDSeries(QZ, p, p_order), PDSeries(QZ, q, q_order)
+    assert p.agree(q, upto) is agree and q.agree(p, upto) is agree
 
 
 @st.composite

@@ -164,7 +164,8 @@ def test_graded_dot_is_sum_of_products(data):
     ref = spec.sum(x * y for x, y in pairs)
     assert got == ref and (got._num, got._den) == (ref._num, ref._den)
     assert GR.dot(iter(pairs)) == ref
-    # the validating constructor, from the Fraction coefficients of the products
+    # the validating constructor, from the Fraction coefficients of the products:
+    # the oracle for dot that does not run through it (spec.sum is a dot with one)
     acc: dict = {}
     for x, y in pairs:
         for m, c in (x * y).terms.items():
