@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .coeffs import omega
@@ -51,24 +53,14 @@ def act_y_power(k: int, g: GMatrix, order: int | None = None) -> PDSeries:
     s_pow = s ** (-k)
     if g.c == 0:
         return PDSeries.monomial(QZ, s_pow, k)
-    ratio = RatFunc.const(g.c) / s
     terminates = k <= 0 and k % 2 == 0
     if not terminates and order is None:
         raise OrderUnresolvable(f"act_y_power: y^{k} . {g!r} is an infinite series; pass an order")
-    out: dict[int, RatFunc] = {}
-    u = 0
-    ratio_pow = RatFunc.const(1)
-    while True:
-        if terminates:
-            if u > -k // 2:
-                break
-        elif k + 2 * u >= order:
-            break
-        w = omega(k, u)
-        if w != 0:
-            out[k + 2 * u] = w * s_pow * ratio_pow
-        ratio_pow = ratio_pow * ratio
-        u += 1
+    # (cz+d)^{-k} (c/(cz+d))^u, one product per exponent; at nonpositive even k,
+    # omega_k(u) vanishes past exponent 0, and PDSeries drops a zero coefficient
+    terms = accumulate(repeat(RatFunc.const(g.c) / s), mul, initial=s_pow)
+    exps = range(k, 1 if terminates else order, 2)
+    out = {n: omega(k, (n - k) // 2) * t for n, t in zip(exps, terms)}
     return PDSeries(QZ, out, EXACT if terminates else order)
 
 

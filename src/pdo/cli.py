@@ -313,10 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PDOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (PDOError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -351,12 +351,9 @@ class GradedElem(Frozen):
         return weights.pop()
 
     def is_homogeneous(self, w: int | None = None) -> bool:
-        if self.is_zero():
-            return True
+        """Whether all terms share one weight, `w` if given; zero is homogeneous of every weight."""
         weights = {self.spec.mono_weight(m) for m in self._num}
-        if len(weights) != 1:
-            return False
-        return w is None or weights == {w}
+        return len(weights) <= 1 and (w is None or weights <= {w})
 
     def __repr__(self) -> str:
         return f"GradedElem({self})"

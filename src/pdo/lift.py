@@ -329,9 +329,7 @@ def negodd_nonexistence(k: int, order: int) -> NegOddReport:
                 * gbinom(u + m - 1, u - r)
                 * (-1) ** (u - r)
             )
-            b = omega(m + 2 * r, u - r)
-            if a == 0 and b == 0:
-                continue
+            b = omega(m + 2 * r, u - r)  # m + 2r is odd, so b != 0
             row = [Fraction(0)] * ncols
             row[u] += a
             row[r] -= b

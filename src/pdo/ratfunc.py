@@ -373,11 +373,8 @@ class RatFunc(Frozen):
     def inverse(self) -> "RatFunc":
         if self.sc == 0:
             raise DivisionByZero("inverse of zero in Q(z)")
-        sc = 1 / self.sc
-        n, d = self.denp, self.nump
-        if n[-1] < 0:
-            n, d, sc = _ineg(n), _ineg(d), -sc
-        return RatFunc._raw(sc, n, d)
+        # both parts have positive leading coefficients, so swapping them is canonical
+        return RatFunc._raw(1 / self.sc, self.denp, self.nump)
 
     def __truediv__(self, other: "RatFunc | Scalar") -> "RatFunc":
         return self * RatFunc.coerce(other).inverse()
@@ -388,8 +385,6 @@ class RatFunc(Frozen):
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inverse() ** (-n)
-        if self.sc == 0:
-            return RatFunc.const(0) if n else RatFunc.const(1)
         return RatFunc._raw(self.sc**n, _ipow(self.nump, n), _ipow(self.denp, n))
 
     def __eq__(self, other: object) -> bool:

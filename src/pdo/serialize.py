@@ -151,7 +151,7 @@ def parse_graded(v: Any, spec: GradedRingSpec, field: str = "elem") -> GradedEle
         raise ParseError(f"{field}: expected an object with 'terms'")
     if not isinstance(v["terms"], list):
         raise ParseError(f"{field}.terms: expected an array")
-    terms: dict = {}
+    elems = []
     for i, t in enumerate(v["terms"]):
         if not isinstance(t, dict) or "c" not in t or "mono" not in t:
             raise ParseError(f"{field}.terms[{i}]: expected 'c' and 'mono'")
@@ -164,12 +164,11 @@ def parse_graded(v: Any, spec: GradedRingSpec, field: str = "elem") -> GradedEle
                 raise ParseError(f"{field}.terms[{i}].mono[{j}]: expected [genIndex, derivOrder, exponent]")
             mono.append(tuple(triple))
         try:
-            elem = GradedElem(spec, {tuple(mono): c})
+            elems.append(GradedElem(spec, {tuple(mono): c}))
         except ValueError as exc:
             raise ParseError(f"{field}.terms[{i}]: {exc}") from None
-        prev = terms.get(tuple(mono))
-        terms[tuple(mono)] = c if prev is None else prev + c
-    return GradedElem(spec, terms)
+    # each term is validated and canonical on its own, and so is their sum
+    return spec.sum(elems)
 
 
 def coeff_json(ring, c) -> Any:

@@ -22,7 +22,7 @@ from pdo.graded import GradedRingSpec
 from pdo.lift import WeightedFamily
 from pdo.ratfunc import GMatrix, RatFunc
 from pdo import QZ
-from pdo.series import PDSeries, series_inverse, series_mul, split_even_odd
+from pdo.series import EXACT, PDSeries, series_inverse, series_mul, split_even_odd
 
 z = RatFunc.z()
 T = GMatrix(1, 1, 0, 1)
@@ -283,3 +283,56 @@ def test_coboundary_r_is_change_of_variable():
         lhs = act_x_inverse_generic(g, pair) - PDSeries.monomial(QZ, mobius_compose(f, g), 0)
         rhs = PDSeries(QZ, {-2: p, 0: -p * f}, None)
         assert lhs == rhs, g
+
+
+# -- act_y_power against the former loop of two products per coefficient --
+
+
+def act_y_power_by_powers(k, g, order=None):
+    """The former loop: omega_k(u) * s^{-k} * (c/s)^u with the power of the
+    ratio kept separately, stopped by the terminating exponent or `order`,
+    and zero omegas skipped."""
+    s = g.s()
+    s_pow = s ** (-k)
+    if g.c == 0:
+        return PDSeries.monomial(QZ, s_pow, k)
+    ratio = RatFunc.const(g.c) / s
+    terminates = k <= 0 and k % 2 == 0
+    if not terminates and order is None:
+        raise OrderUnresolvable("infinite series")
+    out = {}
+    u = 0
+    ratio_pow = RatFunc.const(1)
+    while True:
+        if terminates:
+            if u > -k // 2:
+                break
+        elif k + 2 * u >= order:
+            break
+        w = omega(k, u)
+        if w != 0:
+            out[k + 2 * u] = w * s_pow * ratio_pow
+        ratio_pow = ratio_pow * ratio
+        u += 1
+    return PDSeries(QZ, out, EXACT if terminates else order)
+
+
+# the matrices above, the benchmark's three (both signs), rational entries, and c = 0
+ORACLE_MATRICES = [
+    T, S, U, W,
+    *(GMatrix(1, s * u, s * v, 1 + u * v) for s in (1, -1) for u, v in ((1, 1), (1, 2), (2, 1))),
+    GMatrix(F(1, 2), F(1, 3), F(3, 2), 3),
+    GMatrix(2, F(-5, 3), 0, F(1, 2)),
+]
+
+
+@pytest.mark.parametrize("g", ORACLE_MATRICES, ids=repr)
+def test_act_y_power_matches_the_former_loop(g):
+    def stored(ser):
+        return ser.order, [(n, c.sc, c.nump, c.denp) for n, c in ser.coeffs.items()]
+
+    for k in range(-8, 13):
+        terminates = g.c == 0 or (k <= 0 and k % 2 == 0)
+        for order in [*range(21), *([None] if terminates else [])]:
+            got, want = act_y_power(k, g, order), act_y_power_by_powers(k, g, order)
+            assert stored(got) == stored(want), (k, order)

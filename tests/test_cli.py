@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -302,6 +303,53 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])
     assert ei.value.code == 2
+
+
+ZY = '{"ring":{"kind":"qz"},"val":1,"order":"exact","coeffs":[{"num":["0/1","1/1"],"den":["1/1"]}]}'
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # a PDOError: the exact z*y has an infinite inverse
+        (["inv", ZY], "series_inverse"),
+        # a plain ValueError from the library
+        (["alpha-table", "--k", "-1", "--l", "2", "--nmax", "3"], "weights must be nonnegative"),
+    ],
+    ids=["PDOError", "ValueError"],
+)
+def test_domain_errors_exit_1_with_one_error_line(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and text in err
+
+
+def test_value_from_a_file_or_stdin(capsys, monkeypatch, tmp_path):
+    code, inline, _ = run(capsys, "inv", ZY, "--order", "6")
+    assert code == 0
+    path = tmp_path / "zy.json"
+    path.write_text(ZY, encoding="utf-8")
+    assert run(capsys, "inv", str(path), "--order", "6") == (0, inline, "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ZY))
+    assert run(capsys, "inv", "-", "--order", "6") == (0, inline, "")
+
+
+def test_unreadable_path_exits_2(capsys, tmp_path):
+    for arg in (str(tmp_path / "missing.json"), str(tmp_path)):
+        code, out, err = run(capsys, "inv", arg)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: q: cannot read ") and err.count("\n") == 1
+
+
+def test_verify_names_the_flags_a_suite_takes(capsys):
+    code, out, err = run(capsys, "verify", "RHO", "--kmax", "3")
+    assert (code, out) == (2, "") and "--kmax" in err and "--umax" in err
+
+
+def test_non_integer_order_exits_2(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["inv", ZY, "--order", "x"])
+    assert ei.value.code == 2 and "--order" in capsys.readouterr().err
 
 
 def test_rc_rejects_negative_index(capsys):

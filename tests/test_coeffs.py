@@ -87,6 +87,13 @@ def test_omega_even_closed_forms():
             assert omega(-2 * k, u) == expect
 
 
+def test_omega_at_odd_k_never_vanishes():
+    # a product of odd factors: negodd_nonexistence relies on it
+    for k in range(-15, 16, 2):
+        for u in range(13):
+            assert omega(k, u) != 0, (k, u)
+
+
 def test_rho_values():
     assert rho(1) == 1
     assert rho(2) == F(3, 4)

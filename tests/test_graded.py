@@ -57,6 +57,27 @@ def test_weights():
         spec.zero().weight()
 
 
+@pytest.mark.parametrize(
+    "elem, w, expect",
+    [
+        (spec.zero(), None, True),
+        (spec.zero(), 5, True),
+        (chi * xi, None, True),
+        (chi * xi, 3, True),
+        (chi * xi, 2, False),
+        (spec.scalar(F(3, 2)), 0, True),
+        (chi + chi**2, None, False),
+        (chi + chi**2, 2, False),
+        (xi**2 - chi, 2, True),
+    ],
+    ids=["zero", "zero-w5", "one-weight", "one-weight-equal", "one-weight-other",
+         "scalar-w0", "mixed", "mixed-w2", "two-monomials-one-weight"],
+)
+def test_is_homogeneous_table(elem, w, expect):
+    # the zero element has no weights, so it is homogeneous of every weight
+    assert elem.is_homogeneous(w) is expect
+
+
 def test_weight_additivity_and_deriv_shift():
     a = chi * xi**2
     b = Fgen * chi.inverse()

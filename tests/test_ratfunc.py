@@ -375,3 +375,29 @@ def test_igcd_falls_back_to_prs(monkeypatch):
     assert _igcd(p, q) == ((3, 1), (1, 2, 5), (7, 0, 0, 2))
     for p, q in (((-2, 1, 1, 2, 2), (2, 1, 2)), ((-2, -15, 8), (-8, -63, 8))):
         assert_gcd(p, q)
+
+
+# -- inverse and ** build their results without re-canonicalising --
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_pow_of_zero_is_canonical(n):
+    # _ipow((), n) is () for n >= 1 and (1,) for n = 0, so no zero branch is needed
+    got = RatFunc.const(0) ** n
+    assert_canonical(got)
+    assert got == (RatFunc.const(1) if n == 0 else RatFunc.const(0))
+
+
+@example(RatFunc((1, -2), (3, 0, 1)))
+@example(RatFunc((F(2, 3),), (5, -1)))
+@example(RatFunc.const(F(-7, 2)))
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs())
+def test_inverse_is_canonical(f):
+    # nump and denp keep positive leading coefficients, so swapping them keeps
+    # the form canonical whatever the sign of the scalar (negative in the examples)
+    assume(not f.is_zero())
+    got = f.inverse()
+    assert_canonical(got)
+    assert (got.sc, got.nump, got.denp) == (1 / f.sc, f.denp, f.nump)
+    assert f * got == RatFunc.const(1)

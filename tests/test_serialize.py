@@ -2,9 +2,10 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdo.errors import ParseError
-from pdo.graded import GradedRingSpec, Generator
+from pdo.graded import GradedElem, GradedRingSpec, Generator
 from pdo.lift import WeightedFamily
 from pdo.ratfunc import GMatrix, RatFunc
 from pdo import QZ
@@ -192,3 +193,71 @@ def test_family_start_round_trips():
     back = parse_family(family_json(empty), "F")
     assert back == empty and back.start == 4
     assert parse_family({"ring": {"kind": "qz"}, "start": None, "components": {}}, "F").start == 0
+
+
+# -- parse_graded against the former parser, which merged terms by monomial --
+
+
+def parse_graded_by_merge(v, spec, field="elem"):
+    """The former parser: each term validated alone, then the terms merged
+    in a dict keyed by the raw monomial and the sum built and validated again."""
+    if not isinstance(v, dict) or "terms" not in v:
+        raise ParseError(f"{field}: expected an object with 'terms'")
+    if not isinstance(v["terms"], list):
+        raise ParseError(f"{field}.terms: expected an array")
+    terms = {}
+    for i, t in enumerate(v["terms"]):
+        if not isinstance(t, dict) or "c" not in t or "mono" not in t:
+            raise ParseError(f"{field}.terms[{i}]: expected 'c' and 'mono'")
+        c = parse_frac(t["c"], f"{field}.terms[{i}].c")
+        if not isinstance(t["mono"], list):
+            raise ParseError(f"{field}.terms[{i}].mono: expected an array")
+        mono = []
+        for j, triple in enumerate(t["mono"]):
+            if not isinstance(triple, list) or len(triple) != 3 or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in triple
+            ):
+                raise ParseError(f"{field}.terms[{i}].mono[{j}]: expected [genIndex, derivOrder, exponent]")
+            mono.append(tuple(triple))
+        try:
+            GradedElem(spec, {tuple(mono): c})
+        except ValueError as exc:
+            raise ParseError(f"{field}.terms[{i}]: {exc}") from None
+        prev = terms.get(tuple(mono))
+        terms[tuple(mono)] = c if prev is None else prev + c
+    return GradedElem(spec, terms)
+
+
+SPEC3 = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True), Generator("F", 3)])
+# generator 3 does not exist, derivative order -1 is malformed, and a negative
+# exponent is refused on F or at a derivative order above 0
+factors = st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 2), st.integers(-2, 2)), max_size=4)
+
+
+@st.composite
+def graded_terms(draw):
+    """Terms whose monomials repeat, come unsorted or with repeated and zero
+    factors, and whose coefficients are often zero; mostly valid."""
+    pool = draw(st.lists(factors, min_size=1, max_size=4))
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        mono = draw(st.sampled_from(pool))
+        if draw(st.integers(0, 5)) and not all(0 <= g <= 2 and j >= 0 and (e >= 0 or (g < 2 and j == 0)) for g, j, e in mono):
+            mono = [(g % 3, abs(j), abs(e)) for g, j, e in mono]
+        c = draw(st.sampled_from([F(0)]) | st.fractions(-3, 3, max_denominator=4))
+        out.append({"c": frac_str(c), "mono": [list(f) for f in draw(st.permutations(mono))]})
+    return {"terms": out}
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_terms())
+def test_parse_graded_matches_the_merging_parser(v):
+    try:
+        want = parse_graded_by_merge(v, SPEC3, "e")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as ei:
+            parse_graded(v, SPEC3, "e")
+        assert str(ei.value) == str(exc)
+    else:
+        got = parse_graded(v, SPEC3, "e")
+        assert got == want and got.terms == want.terms

@@ -87,6 +87,14 @@ def test_linear_ops():
 def test_ring_mismatch():
     with pytest.raises(RingMismatch):
         series_mul(PDSeries.monomial(QZ, 1, 0), PDSeries.monomial(GR, 1, 0))
+    with pytest.raises(RingMismatch):
+        PDSeries.sum(QZ, [PDSeries.monomial(QZ, 1, 0), PDSeries.monomial(GR, 1, 0)])
+
+
+def test_zero_series_has_no_leading_coefficient():
+    for q in (PDSeries.zero(QZ), PDSeries.zero(GR, 6)):
+        with pytest.raises(ValueError, match="no leading coefficient"):
+            q.leading()
 
 
 def test_exact_times_exact_infinite_raises():
