@@ -12,15 +12,18 @@ all other ways of extending the action from functions to operators.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import mul
-from typing import Callable, NamedTuple, Sequence
+from functools import lru_cache, reduce
+from itertools import accumulate, product, repeat
+from operator import matmul, mul
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .coeffs import omega
 from .errors import NotAUnit, OrderUnresolvable
 from .ratfunc import QZ, GMatrix, RatFunc, mobius_compose
 from .series import EXACT, PDSeries, _min_order
+
+if TYPE_CHECKING:
+    from .verify import SuiteReport
 
 __all__ = [
     "slash",
@@ -32,7 +35,6 @@ __all__ = [
     "kappa_pair",
     "act_x_inverse_generic",
     "check_cocycles",
-    "CocycleReport",
 ]
 
 
@@ -95,21 +97,6 @@ class CocyclePair(NamedTuple):
     name: str = ""
 
 
-def modular_pair() -> CocyclePair:
-    """p = (cz+d)^2, r = 0: the canonical modular extension."""
-    return CocyclePair(lambda g: g.s() ** 2, lambda g: RatFunc(()), "modular")
-
-
-def coboundary_pair() -> CocyclePair:
-    """p = (cz+d)^2, r_g = -p_g^{-1} d(p_g) with d = -d/dz, i.e. r_g = p_g^{-1} (p_g)'.
-
-    This is the choice that moves the coefficient to the other side:
-    x^{-1}.g = p_g x^{-1} - d(p_g) = x^{-1} p_g.
-    """
-    p = lambda g: g.s() ** 2
-    return CocyclePair(p, lambda g: p(g).inverse() * p(g).deriv(), "coboundary")
-
-
 def kappa_pair(kappa: Fraction | int) -> CocyclePair:
     """The invariant-scaled family: p = (cz+d)^2, r_g = kappa * 2c/(cz+d)."""
     kappa = Fraction(kappa)
@@ -120,6 +107,20 @@ def kappa_pair(kappa: Fraction | int) -> CocyclePair:
     return CocyclePair(lambda g: g.s() ** 2, r, f"kappa={kappa}")
 
 
+def modular_pair() -> CocyclePair:
+    """p = (cz+d)^2, r = 0: the canonical modular extension, kappa = 0."""
+    return kappa_pair(0)._replace(name="modular")
+
+
+def coboundary_pair() -> CocyclePair:
+    """p = (cz+d)^2, r_g = -p_g^{-1} d(p_g) with d = -d/dz, i.e. r_g = p_g^{-1} (p_g)'.
+
+    As p'/p = 2c/(cz+d), this is kappa = 1.  It is the choice that moves the
+    coefficient to the other side: x^{-1}.g = p_g x^{-1} - d(p_g) = x^{-1} p_g.
+    """
+    return kappa_pair(1)._replace(name="coboundary")
+
+
 def act_x_inverse_generic(g: GMatrix, cp: CocyclePair) -> PDSeries:
     """The image x^{-1}.g = p_g x^{-1} + p_g r_g as an exact series."""
     p = cp.p(g)
@@ -128,53 +129,32 @@ def act_x_inverse_generic(g: GMatrix, cp: CocyclePair) -> PDSeries:
     return PDSeries(QZ, {-2: p, 0: p * cp.r(g)}, EXACT)
 
 
-class CocycleReport(NamedTuple):
-    ok: bool
-    checked_pairs: int
-    depth: int
-    violation: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_cocycles(cp: CocyclePair, gens: Sequence[GMatrix], depth: int) -> CocycleReport:
+def check_cocycles(cp: CocyclePair, gens: Sequence[GMatrix], depth: int) -> SuiteReport:
     """Verify the two extension laws on all words of length <= depth in gens.
 
     Checks p_{gg'} = (p_g . g') p_{g'} and r_{gg'} = r_{g'} + p_{g'}^{-1}(r_g . g')
-    for every pair of words whose concatenation still has length <= depth.
-    Violations are reported, not raised.
+    for every pair of words whose concatenation still has length <= depth,
+    two checks per pair, p-law first; the first violation is reported, not raised.
     """
+    # imported here, so that the action commands load no verify module
+    from .verify import _run
+
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    words: list[tuple[GMatrix, tuple[int, ...]]] = [(GMatrix.identity(), ())]
-    layer = [(GMatrix.identity(), ())]
-    for _ in range(depth):
-        nxt = []
-        for m, w in layer:
-            for i, gen in enumerate(gens):
-                nxt.append((m @ gen, w + (i,)))
-        words.extend(nxt)
-        layer = nxt
-    checked = 0
-    for m1, w1 in words:
-        for m2, w2 in words:
-            if len(w1) + len(w2) > depth:
-                continue
-            prod = m1 @ m2
-            checked += 1
-            lhs_p = cp.p(prod)
-            rhs_p = mobius_compose(cp.p(m1), m2) * cp.p(m2)
-            if lhs_p != rhs_p:
-                return CocycleReport(
-                    False, checked, depth,
-                    f"p-cocycle law fails at words {w1} * {w2}",
-                )
-            lhs_r = cp.r(prod)
-            rhs_r = cp.r(m2) + cp.p(m2).inverse() * mobius_compose(cp.r(m1), m2)
-            if lhs_r != rhs_r:
-                return CocycleReport(
-                    False, checked, depth,
-                    f"r-compatibility law fails at words {w1} * {w2}",
-                )
-    return CocycleReport(True, checked, depth)
+    words = [
+        (reduce(matmul, (gens[i] for i in w), GMatrix.identity()), w)
+        for n in range(depth + 1)
+        for w in product(range(len(gens)), repeat=n)
+    ]
+
+    def cases():
+        for m1, w1 in words:
+            for m2, w2 in words:
+                if len(w1) + len(w2) <= depth:
+                    g = m1 @ m2
+                    at = f"at words {w1} * {w2}"
+                    yield f"p-cocycle law {at}", cp.p(g), mobius_compose(cp.p(m1), m2) * cp.p(m2)
+                    yield (f"r-compatibility law {at}", cp.r(g),
+                           cp.r(m2) + cp.p(m2).inverse() * mobius_compose(cp.r(m1), m2))
+
+    return _run(cp.name, f"{len(gens)} generators, words of length <= {depth}", cases())

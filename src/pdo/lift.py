@@ -293,8 +293,6 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
                 mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
         pivots.append(col)
         r += 1
-        if r == len(mat):
-            break
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

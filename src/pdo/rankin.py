@@ -13,10 +13,10 @@ recursion in the quotient F' = 0, without forming the free product.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 from math import factorial
 
-from .coeffs import _lift_coeffs, gbinom
+from .coeffs import _lift_coeffs, comm_coeff_c, gbinom
 from .errors import EdgeCaseWeightZero, NotHomogeneous
 from .graded import GradedElem, GradedRingSpec, Generator
 from .lift import WeightedFamily, psi, psi_assemble, psi_inverse, ring_of
@@ -139,11 +139,11 @@ def alpha_table(k: int, l: int, n_max: int) -> list[Fraction]:
         beta_N  = q_N - sum_{n<N} beta_n a_{k+l+2n}(N-n)      (the peel)
         alpha_N = beta_N / C(k+N-1, N)                        (over F*G^(N) in [F, G]_N)
 
-    with a_m the lift coefficients of psi_m and s_k(u) = prod_{v<=u}
-    -(k+2v-2)/(2v) the commutation factors of F y^k . G^(n).  That the whole
-    component is alpha_N [F, G]_N is the transfer theorem, checked by the
-    ``STAR`` verify suite.  The (0, even) column comes from the closed form;
-    other zero weights have no free extraction.
+    with a_m the lift coefficients of psi_m and s_k(u) = c_k(u) (-1/2)^u the
+    commutation factors of F y^k . G^(n), c_k(u) as in ``comm_coeff_c``.  That
+    the whole component is alpha_N [F, G]_N is the transfer theorem, checked by
+    the ``STAR`` verify suite.  The (0, even) column comes from the closed
+    form; other zero weights have no free extraction.
     """
     if k < 0 or l < 0:
         raise ValueError(f"weights must be nonnegative, got ({k}, {l})")
@@ -154,9 +154,7 @@ def alpha_table(k: int, l: int, n_max: int) -> list[Fraction]:
     if l == 0:
         raise EdgeCaseWeightZero("no free extraction with a weight-0 right factor")
     a_l = list(islice(_lift_coeffs(l), n_max + 1))
-    s_k = list(accumulate(
-        range(1, n_max + 1), lambda s, u: s * Fraction(-(k + 2 * u - 2), 2 * u), initial=Fraction(1)
-    ))
+    s_k = [comm_coeff_c(k, u) * Fraction(-1, 2) ** u for u in range(n_max + 1)]
     # rest[N]: q_N less the lifts of the components peeled so far
     rest = [sum(a_l[n] * s_k[N - n] for n in range(N + 1)) for N in range(n_max + 1)]
     out = []

@@ -65,8 +65,7 @@ def _imul(p: IntPoly, q: IntPoly) -> IntPoly:
 
 
 def _iscale(k: int, p: IntPoly) -> IntPoly:
-    if k == 0:
-        return ()
+    """k * p for a nonzero k, so that a trimmed p stays trimmed."""
     return tuple(k * c for c in p)
 
 

@@ -131,9 +131,6 @@ class PDSeries(Frozen):
     def is_exact(self) -> bool:
         return self.order is None
 
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def truncate(self, order: int) -> "PDSeries":
         return PDSeries(self.ring, self.coeffs, _min_order(order, self.order))
 

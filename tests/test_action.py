@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -17,10 +18,10 @@ from pdo.action import (
     slash,
 )
 from pdo.coeffs import omega
-from pdo.errors import OrderUnresolvable
+from pdo.errors import NotAUnit, OrderUnresolvable
 from pdo.graded import GradedRingSpec
 from pdo.lift import WeightedFamily
-from pdo.ratfunc import GMatrix, RatFunc
+from pdo.ratfunc import GMatrix, RatFunc, mobius_compose
 from pdo import QZ
 from pdo.series import EXACT, PDSeries, series_inverse, series_mul, split_even_odd
 
@@ -258,7 +259,7 @@ def test_check_cocycles():
         assert check_cocycles(kappa_pair(kappa), gens, 3).ok
     bad = CocyclePair(lambda g: RatFunc.const(1), lambda g: RatFunc.const(g.c), "bad")
     rep = check_cocycles(bad, gens, 3)
-    assert not rep.ok and rep.violation is not None
+    assert not rep.ok and rep.counterexample is not None
 
 
 def test_check_cocycles_depth_validation():
@@ -336,3 +337,95 @@ def test_act_y_power_matches_the_former_loop(g):
         for order in [*range(21), *([None] if terminates else [])]:
             got, want = act_y_power(k, g, order), act_y_power_by_powers(k, g, order)
             assert stored(got) == stored(want), (k, order)
+
+
+# -- the named pairs and check_cocycles against their former definitions --
+
+
+OLD_R = {
+    "modular": lambda g: RatFunc(()),
+    "coboundary": lambda g: (g.s() ** 2).inverse() * (g.s() ** 2).deriv(),
+}
+
+
+@pytest.mark.parametrize("pair", [modular_pair, coboundary_pair], ids=lambda f: f.__name__)
+def test_named_pairs_are_the_former_r(pair):
+    cp = pair()
+    assert cp.name == pair.__name__.removesuffix("_pair")
+    for g in (T, S, U, W, GMatrix(F(1, 2), F(1, 3), F(3, 2), 3)):
+        assert cp.p(g) == g.s() ** 2, g
+        assert cp.r(g) == OLD_R[cp.name](g), g
+
+
+def check_cocycles_by_layers(cp, gens, depth):
+    """The former check: words built layer by layer, the pairs counted, and
+    (ok, checked_pairs, violation) returned at the first failing law."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    words = [(GMatrix.identity(), ())]
+    layer = [(GMatrix.identity(), ())]
+    for _ in range(depth):
+        nxt = []
+        for m, w in layer:
+            for i, gen in enumerate(gens):
+                nxt.append((m @ gen, w + (i,)))
+        words.extend(nxt)
+        layer = nxt
+    checked = 0
+    for m1, w1 in words:
+        for m2, w2 in words:
+            if len(w1) + len(w2) > depth:
+                continue
+            prod = m1 @ m2
+            checked += 1
+            if cp.p(prod) != mobius_compose(cp.p(m1), m2) * cp.p(m2):
+                return False, checked, f"p-cocycle law fails at words {w1} * {w2}"
+            rhs_r = cp.r(m2) + cp.p(m2).inverse() * mobius_compose(cp.r(m1), m2)
+            if cp.r(prod) != rhs_r:
+                return False, checked, f"r-compatibility law fails at words {w1} * {w2}"
+    return True, checked, None
+
+
+ORACLE_PAIRS = [
+    modular_pair(),
+    coboundary_pair(),
+    kappa_pair(1),
+    kappa_pair(F(1, 2)),
+    kappa_pair(-3),
+    CocyclePair(lambda g: RatFunc.const(1), lambda g: RatFunc.const(g.c), "bad"),
+    CocyclePair(lambda g: g.s() ** 3, kappa_pair(1).r, "cubed"),
+    CocyclePair(lambda g: RatFunc.const(F(2) ** int(g.c)), lambda g: RatFunc(()), "p-fails"),
+]
+
+
+@pytest.mark.parametrize("cp", ORACLE_PAIRS, ids=lambda cp: cp.name)
+def test_check_cocycles_matches_the_former_layers(cp):
+    for gens, depth in product([[T], [T, S], [T, S, U]], range(1, 5)):
+        rep = check_cocycles(cp, gens, depth)
+        ok, pairs, violation = check_cocycles_by_layers(cp, gens, depth)
+        assert rep.ok == ok, (len(gens), depth)
+        assert rep.name == cp.name and rep.ranges == f"{len(gens)} generators, words of length <= {depth}"
+        if ok:
+            assert rep.checked == 2 * pairs and rep.counterexample is None
+        else:
+            # the same first failing law, at the same words, after the same pairs
+            assert rep.counterexample.partition(":")[0] == violation.replace(" fails", "")
+            assert rep.checked == 2 * pairs - violation.startswith("p-")
+
+
+def test_check_cocycles_oracle_pairs_pass_and_fail():
+    # the oracle table holds passing and failing pairs, failing at either law
+    reps = {cp.name: check_cocycles(cp, [T, S], 3) for cp in ORACLE_PAIRS}
+    assert [name for name, rep in reps.items() if rep.ok] == [cp.name for cp in ORACLE_PAIRS[:5]]
+    assert reps["bad"].counterexample == "r-compatibility law at words (1,) * (1,): 0 != 2"
+    assert reps["cubed"].counterexample.startswith("r-compatibility law at words")
+    assert reps["p-fails"].counterexample.startswith("p-cocycle law at words")
+
+
+def test_action_input_checks():
+    graded = PDSeries(_spec, {0: _spec.gen("chi")}, 4)
+    with pytest.raises(ValueError):
+        act_series(graded, T)
+    zero_p = CocyclePair(lambda g: RatFunc(()), lambda g: RatFunc(()), "zero")
+    with pytest.raises(NotAUnit):
+        act_x_inverse_generic(S, zero_p)

@@ -191,6 +191,8 @@ def test_gamma_tuple_validates_input():
         gamma_tuple(2, 1, (1, 1), "A2")
     with pytest.raises(ValueError):
         gamma_tuple(2, 1, (1,), "A2")
+    with pytest.raises(ValueError):
+        gamma_tuple(2, 1, (1, 0), "A3")
 
 
 def bounded_gamma(k, i, t):

@@ -313,3 +313,9 @@ def test_arithmetic_across_specs_raises_ring_mismatch():
     with pytest.raises(RingMismatch):
         other.coerce(a)
     assert other.coerce(2) == other.scalar(2) and spec.coerce(a) is a
+
+
+def test_scalar_value_of_a_non_scalar():
+    assert spec.scalar(F(2, 3)).scalar_value() == F(2, 3)
+    with pytest.raises(ValueError):
+        chi.scalar_value()

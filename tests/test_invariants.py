@@ -23,6 +23,7 @@ from pdo.invariants import (
 )
 from pdo.lift import WeightedFamily, psi, psi_inverse
 from pdo.rankin import alpha_weight0, rc_bracket
+from pdo.ratfunc import QZ, RatFunc
 from pdo.series import PDSeries, series_inverse, series_mul
 
 spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True)])
@@ -558,3 +559,8 @@ def test_rewrite_in_u_needs_finite_order():
 
     with pytest.raises(OrderUnresolvable):
         rewrite_in_u(PDSeries.one(GR))
+
+
+def test_rewrite_in_u_needs_a_graded_ring():
+    with pytest.raises(NotInvariant):
+        rewrite_in_u(PDSeries(QZ, {0: RatFunc.const(1)}, 4))

@@ -399,3 +399,19 @@ def test_negodd_shifted_lift_is_equivariant():
         lhs = psi(2 * k + 1, slash(f, -2 * k + 1, g).deriv_n(2 * k), order)
         rhs = act_series(psi(2 * k + 1, f.deriv_n(2 * k), order), g, order)
         assert is_zero_series(lhs - rhs), g
+
+
+def test_lift_input_checks():
+    with pytest.raises(ValueError):
+        psi_neg_via_xi(0, xi, xi, 8)
+    with pytest.raises(NotHomogeneous):
+        psi_neg_via_xi(1, xi**-1, chi, 8)  # a unit, but of weight 2
+    for key in (0, -2):
+        with pytest.raises(ParityMismatch):
+            closed_pairs("even_bwd", WeightedFamily(QZ, {key: z}))
+
+
+def test_weighted_family_agree_reads_below_upto():
+    a, b = WeightedFamily(QZ, {2: z, 4: z}), WeightedFamily(QZ, {2: z, 4: z + 1})
+    assert a.agree(b, 4) and not a.agree(b, 5)
+    assert not a.agree(WeightedFamily(QZ, {4: z}), 5)

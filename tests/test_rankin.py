@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdo import rankin
 from pdo.errors import EdgeCaseWeightZero, NotHomogeneous, OrderUnresolvable, RingMismatch
-from pdo.coeffs import gbinom
+from pdo.coeffs import comm_coeff_c, gbinom
 from pdo.graded import GradedRingSpec, Generator
 from pdo.lift import WeightedFamily, psi, psi_assemble, psi_inverse, ring_of
 from pdo.series import series_mul
@@ -331,3 +331,17 @@ def test_star_multiplies_series_over_the_free_ring_only(monkeypatch):
     f, g = xi * chi + xi**3, xi + chi * xi**-1
     assert star(f, g, 13) == direct_star(f, g, 13)
     assert seen and set(seen) == {GradedRingSpec([Generator("F", 3), Generator("G", 1)])}
+
+
+def test_commutation_factor_is_the_former_step_rule():
+    # alpha_table's s_k(u) was the running product of -(k+2u-2)/(2u)
+    for k in range(1, 9):
+        s = F(1)
+        for u in range(41):
+            s *= F(-(k + 2 * u - 2), 2 * u) if u else 1
+            assert s == comm_coeff_c(k, u) * F(-1, 2) ** u, (k, u)
+
+
+def test_rc_bracket_negative_index():
+    with pytest.raises(ValueError):
+        rc_bracket(chi, chi, 2, 2, -1)

@@ -401,3 +401,11 @@ def test_inverse_is_canonical(f):
     assert_canonical(got)
     assert (got.sc, got.nump, got.denp) == (1 / f.sc, f.denp, f.nump)
     assert f * got == RatFunc.const(1)
+
+
+def test_ratfunc_input_checks():
+    with pytest.raises(ZeroDivisionError):
+        RatFunc((1,), (0,))
+    assert RatFunc.const(F(-3, 4)).const_value() == F(-3, 4)
+    with pytest.raises(ValueError):
+        z.const_value()

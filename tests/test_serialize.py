@@ -180,6 +180,15 @@ def test_json_booleans_are_not_integers(parse, value, field):
         (_graded, {"terms": [{"c": "1/1", "mono": 5}]}, "e.terms[0].mono"),
         (parse_family, {"ring": {"kind": "qz"}, "components": [ONE]}, "F.components"),
         (parse_family, {"ring": {"kind": "qz"}, "start": "0", "components": {}}, "F.start"),
+        (parse_ratfunc, {"num": 5, "den": ["1/1"]}, "f.num"),
+        (parse_spec, [], "gens"),
+        (parse_spec, {"chi": 2}, "gens"),
+        (parse_spec, [["chi", 2, True], ["chi", 1, True]], "gens"),
+        (parse_ring, "qz", "r"),
+        (_graded, [], "e"),
+        (parse_series, [], "q"),
+        (parse_family, [], "F"),
+        (parse_family, {"ring": {"kind": "qz"}, "components": {"two": ONE}}, "F.components"),
     ],
 )
 def test_malformed_containers_name_the_field(parse, value, field):
