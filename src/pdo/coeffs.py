@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations as _combinations
 from itertools import islice
 from itertools import product as _cartesian
-from math import comb, factorial
+from math import comb, factorial, gcd
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeCaseA1, NegativeOddWeight
@@ -140,10 +140,31 @@ def _lift_coeffs(m: int) -> Iterator[Fraction]:
     while True:
         yield a
         n += 1
-        top = -(m + 2 * n - 2) * (m + 2 * n)
+        top, bottom = _lift_ratio(m, n)
         if top == 0:
             return
-        a *= Fraction(top, 4 * n * (m + n - 1))
+        a *= Fraction(top, bottom)
+
+
+def _lift_ratio(m: int, n: int) -> tuple[int, int]:
+    """alpha_m(n) / alpha_m(n-1) as (numerator, denominator)."""
+    return -(m + 2 * n - 2) * (m + 2 * n), 4 * n * (m + n - 1)
+
+
+def _ratio_products(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """x_0 = 1, ..., x_t = x_{t-1} p_t / q_t over the (p_t, q_t) of `ratios`,
+    as integer numerators over one denominator, in lowest terms: x_t's
+    numerator is p_1 ... p_t times the q of every later step."""
+    nums = [1]
+    for p, _ in ratios:
+        nums.append(nums[-1] * p)
+    den = 1
+    for t in range(len(ratios), 0, -1):
+        nums[t] *= den
+        den *= ratios[t - 1][1]
+    nums[0] = den
+    g = gcd(*nums)
+    return [x // g for x in nums], den // g
 
 
 def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:

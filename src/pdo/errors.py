@@ -28,6 +28,10 @@ class ZeroElement(PDOError):
     """Weight of the zero element is undefined."""
 
 
+class ExponentOverflow(PDOError):
+    """A graded monomial's exponent could leave the packed range |e| < 2^62."""
+
+
 class RingMismatch(PDOError):
     """Operands live over different coefficient rings."""
 

@@ -5,23 +5,40 @@ carries an integer weight w, its j-th formal derivative g^(j) has weight
 w + 2j, and invertible generators may appear with negative exponents
 (at derivative order 0 only).  Invariance never involves a group here;
 it is the homogeneity predicate implemented by ``weight()``.
+
+A monomial is stored as one int, its exponent vector packed so that the
+product of two monomials is the sum of their ints (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): the exponent of g^(j) is a signed 64-bit digit at bit
+64 (g + G j), G the number of generators.  A sum of digits stays exact while
+every digit stays below 2^63 in absolute value, so each element carries a
+bound on its largest absolute exponent, a product's bound is the sum of its
+factors' bounds, and an operation whose bound would reach 2^62 raises
+``ExponentOverflow``.  Monomials are tuples (``Mono``) at the edges: the
+constructor packs them, and ``terms``, ``coefficient``, ``inverse``,
+``weight`` and ``str`` read them unpacked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from struct import unpack
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .errors import NotAUnit, NotHomogeneous, RingMismatch, ZeroElement
+from .errors import ExponentOverflow, NotAUnit, NotHomogeneous, RingMismatch, ZeroElement
 from .frozen import Frozen
 
 Scalar = Union[int, Fraction]
 
-# a monomial is a sorted tuple of (gen_index, deriv_order, exponent),
-# exponents nonzero, negative only for (invertible gen, deriv_order 0)
+# the tuple form of a monomial: sorted (gen_index, deriv_order, exponent),
+# exponents nonzero, negative only for (invertible gen, deriv_order 0); it is
+# stored packed, the exponent of g^(j) in digit g + G j of _W bits
 Mono = tuple[tuple[int, int, int], ...]
+_W = 64
+_LIMIT = 1 << 62  # every exponent bound stays below this
+_MEMO_CAP = 1 << 16  # unpacked monomials kept per spec
 
 __all__ = ["Generator", "GradedRingSpec", "GradedElem", "GradedRing"]
 
@@ -41,7 +58,7 @@ class GradedRingSpec(Frozen):
     series over it: ``zero``, ``one``, ``coerce``, ``sum`` and ``dot`` are
     what the series engine asks of a ring."""
 
-    __slots__ = ("generators", "_index")
+    __slots__ = ("generators", "_index", "_memo", "_steps")
 
     def __init__(self, generators: Iterable[Generator | tuple]):
         gens = tuple(
@@ -52,6 +69,10 @@ class GradedRingSpec(Frozen):
             raise ValueError("generator names must be distinct")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_index", MappingProxyType({g.name: i for i, g in enumerate(gens)}))
+        # caches, not part of the value: packed monomial -> Mono, and
+        # _steps[g + G j] = the change of a key when one g^(j) becomes g^(j+1)
+        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_steps", [])
 
     def __reduce__(self):
         return GradedRingSpec, (self.generators,)
@@ -73,10 +94,10 @@ class GradedRingSpec(Frozen):
 
     def scalar(self, c: Scalar) -> "GradedElem":
         c = Fraction(c)
-        return GradedElem._raw(self, {(): c.numerator}, c.denominator)
+        return GradedElem._raw(self, {0: c.numerator}, c.denominator, 0)
 
     def zero(self) -> "GradedElem":
-        return GradedElem._raw(self, {}, 1)
+        return GradedElem._raw(self, {}, 1, 0)
 
     def one(self) -> "GradedElem":
         return self.scalar(1)
@@ -100,11 +121,15 @@ class GradedRingSpec(Frozen):
         """The sum of the products x * y over `pairs` of elements of this
         ring, in one pass: integer numerators are multiplied into one
         accumulator over a running common denominator, which grows (rescaling
-        the sum so far) only when a pair's denominator does not divide it."""
-        out: dict[Mono, int] = {}
+        the sum so far) only when a pair's denominator does not divide it.
+        A product monomial is the sum of the packed monomials."""
+        out: dict[int, int] = {}
         den = 1
+        bound = 0
         for x, y in pairs:
             x, y = self.coerce(x), self.coerce(y)
+            if x._bound + y._bound > bound:
+                bound = _bounded(x._bound + y._bound)
             d = x._den * y._den
             if den % d:
                 k = d // gcd(den, d)
@@ -116,10 +141,10 @@ class GradedRingSpec(Frozen):
             for m1, c1 in x._num.items():
                 c1 *= k
                 for m2, c2 in right:
-                    m = _mono_mul(m1, m2)
+                    m = m1 + m2
                     c = out.get(m)
                     out[m] = c1 * c2 if c is None else c + c1 * c2
-        return GradedElem._raw(self, out, den)
+        return GradedElem._raw(self, out, den, bound)
 
     @property
     def spec(self) -> "GradedRingSpec":
@@ -130,15 +155,50 @@ class GradedRingSpec(Frozen):
     def mono_weight(self, mono: Mono) -> int:
         return sum(e * (self.generators[g].weight + 2 * j) for g, j, e in mono)
 
-    def _check_mono(self, mono: Mono) -> None:
+    def _pack(self, mono: Mono) -> tuple[int, int]:
+        """The packed form of a normalised monomial, each factor checked,
+        and its largest absolute exponent."""
+        n = len(self.generators)
+        key = top = 0
         for g, j, e in mono:
-            if e == 0 or j < 0 or not 0 <= g < len(self.generators):
+            if e == 0 or j < 0 or not 0 <= g < n:
                 raise ValueError(f"malformed monomial factor {(g, j, e)}")
             if e < 0 and (j != 0 or not self.generators[g].invertible):
                 raise ValueError(
                     f"negative exponent needs an invertible generator at "
                     f"derivative order 0: {(g, j, e)}"
                 )
+            key += e << _W * (g + n * j)
+            if e > top or -e > top:
+                top = abs(e)
+        return key, _bounded(top)
+
+    def _mono(self, key: int) -> Mono:
+        """The tuple form of a packed monomial, memoised.  Its words are read
+        as signed, and a negative digit borrowed one from the word above."""
+        mono = self._memo.get(key)
+        if mono is None:
+            n, size = len(self.generators), key.bit_length() // _W + 1
+            factors, borrow = [], False
+            for s, w in enumerate(unpack(f"<{size}q", key.to_bytes(size * _W // 8, "little", signed=True))):
+                if w + borrow:
+                    factors.append((s % n, s // n, w + borrow))
+                borrow = w < 0
+            mono = tuple(sorted(factors))
+            steps = self._steps
+            while len(steps) < size:
+                steps.append((1 << _W * (len(steps) + n)) - (1 << _W * len(steps)))
+            if len(self._memo) >= _MEMO_CAP:
+                self._memo.clear()
+            self._memo[key] = mono
+        return mono
+
+
+def _bounded(bound: int) -> int:
+    """`bound` if every exponent up to it has a digit of its own."""
+    if bound >= _LIMIT:
+        raise ExponentOverflow(f"an exponent could reach {bound}, beyond the packed range |e| < 2^62")
+    return bound
 
 
 def _normalize(mono: Iterable[tuple[int, int, int]]) -> Mono:
@@ -151,38 +211,13 @@ def _normalize(mono: Iterable[tuple[int, int, int]]) -> Mono:
     )
 
 
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    """Product of two canonical monomials: one merge of the sorted factors,
-    adding the exponents of a shared (gen, deriv) and dropping a zero sum."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = k = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and k < n2:
-        a, b = m1[i], m2[k]
-        if a[0] == b[0] and a[1] == b[1]:
-            e = a[2] + b[2]
-            if e:
-                out.append((a[0], a[1], e))
-            i += 1
-            k += 1
-        elif a < b:  # decided by (gen, deriv), which differ here
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            k += 1
-    return (*out, *m1[i:], *m2[k:])
-
-
-def _set_slots(obj: "GradedElem", spec: GradedRingSpec, num: dict[Mono, int], den: int) -> "GradedElem":
+def _set_slots(obj: "GradedElem", spec: GradedRingSpec, num: dict[int, int], den: int, bound: int) -> "GradedElem":
     """Store `num / den` (den > 0) in lowest terms: zero numerators are
     dropped and the gcd of `den` and all numerators is divided out, so the
-    stored form is unique and `==` is structural."""
-    num = {m: c for m, c in num.items() if c}
+    stored form is unique and `==` is structural.  `bound` bounds the
+    absolute exponents of the monomials."""
+    if not all(num.values()):
+        num = {m: c for m, c in num.items() if c}
     g = gcd(den, *num.values())
     if g != 1:
         den //= g
@@ -190,48 +225,53 @@ def _set_slots(obj: "GradedElem", spec: GradedRingSpec, num: dict[Mono, int], de
     object.__setattr__(obj, "spec", spec)
     object.__setattr__(obj, "_num", num)
     object.__setattr__(obj, "_den", den)
+    object.__setattr__(obj, "_bound", bound)
     return obj
 
 
 class GradedElem(Frozen):
     """Finite Q-linear combination of monomials in generators and derivatives.
 
-    An element is stored as integer numerators `_num` over one positive
-    denominator `_den`, in lowest terms; ``terms`` is the read-only view of
-    its `Fraction` coefficients.  Values are immutable.  The public
-    constructor normalises and validates its input; sums, products, scalings
-    and derivatives of canonical values have canonical monomials, so they
-    build their results through ``_raw`` without a re-check.
+    An element is stored as integer numerators `_num`, keyed by packed
+    monomial, over one positive denominator `_den`, in lowest terms, with
+    `_bound` at least its largest absolute exponent; ``terms`` is the
+    read-only view of its `Fraction` coefficients by tuple monomial.  Values
+    are immutable.  The public constructor normalises and validates its
+    input; sums, products, scalings and derivatives of canonical values have
+    canonical monomials, so they build their results through ``_raw``
+    without a re-check.
     """
 
-    __slots__ = ("spec", "_num", "_den")
+    __slots__ = ("spec", "_num", "_den", "_bound")
 
     def __init__(self, spec: GradedRingSpec, terms: Mapping[Mono, Scalar]):
-        clean: dict[Mono, Fraction] = {}
+        clean: dict[int, Fraction] = {}
+        bound = 0
         for mono, c in terms.items():
             c = Fraction(c)
             if c == 0:
                 continue
-            mono = _normalize(mono)
-            spec._check_mono(mono)
-            clean[mono] = clean.get(mono, 0) + c
+            key, top = spec._pack(_normalize(mono))
+            bound = max(bound, top)
+            clean[key] = clean.get(key, 0) + c
         den = lcm(*(c.denominator for c in clean.values()))
-        _set_slots(self, spec, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}, den)
+        _set_slots(self, spec, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}, den, bound)
 
     @classmethod
-    def _raw(cls, spec: GradedRingSpec, num: dict[Mono, int], den: int) -> "GradedElem":
-        """Trusted constructor: the monomials of `num` are canonical and
-        valid, and `den > 0`; the fraction is reduced here."""
-        return _set_slots(object.__new__(cls), spec, num, den)
+    def _raw(cls, spec: GradedRingSpec, num: dict[int, int], den: int, bound: int) -> "GradedElem":
+        """Trusted constructor: the packed monomials of `num` are valid, their
+        absolute exponents at most `bound` < 2^62, and `den > 0`; the
+        fraction is reduced here."""
+        return _set_slots(object.__new__(cls), spec, num, den, bound)
 
     def __reduce__(self):
-        return GradedElem._raw, (self.spec, dict(self._num), self._den)
+        return GradedElem._raw, (self.spec, dict(self._num), self._den, self._bound)
 
     @property
     def terms(self) -> Mapping[Mono, Fraction]:
         """The nonzero coefficients, monomial to `Fraction`, read-only."""
-        d = self._den
-        return MappingProxyType({m: Fraction(c, d) for m, c in self._num.items()})
+        d, mono = self._den, self.spec._mono
+        return MappingProxyType({mono(m): Fraction(c, d) for m, c in self._num.items()})
 
     # -- predicates --
 
@@ -239,7 +279,7 @@ class GradedElem(Frozen):
         return not self._num
 
     def is_scalar(self) -> bool:
-        return all(m == () for m in self._num)
+        return not any(self._num)
 
     def deriv_terminates(self) -> bool:
         """Whether some derivative vanishes: in a free differential ring,
@@ -249,10 +289,10 @@ class GradedElem(Frozen):
     def scalar_value(self) -> Fraction:
         if not self.is_scalar():
             raise ValueError("not a scalar")
-        return Fraction(self._num.get((), 0), self._den)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def coefficient(self, mono: Mono) -> Fraction:
-        return Fraction(self._num.get(_normalize(mono), 0), self._den)
+        return self.terms.get(_normalize(mono), Fraction(0))
 
     # -- arithmetic --
 
@@ -262,7 +302,7 @@ class GradedElem(Frozen):
     __radd__ = __add__
 
     def __neg__(self) -> "GradedElem":
-        return GradedElem._raw(self.spec, {m: -c for m, c in self._num.items()}, self._den)
+        return GradedElem._raw(self.spec, {m: -c for m, c in self._num.items()}, self._den, self._bound)
 
     def __sub__(self, other: "GradedElem | Scalar") -> "GradedElem":
         return self + (-self.spec.coerce(other))
@@ -273,7 +313,7 @@ class GradedElem(Frozen):
     def __mul__(self, other: "GradedElem | Scalar") -> "GradedElem":
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
-            return GradedElem._raw(self.spec, {m: c * p for m, c in self._num.items()}, self._den * q)
+            return GradedElem._raw(self.spec, {m: c * p for m, c in self._num.items()}, self._den * q, self._bound)
         return self.spec.dot(((self, other),))
 
     __rmul__ = __mul__
@@ -308,32 +348,29 @@ class GradedElem(Frozen):
         """Inverse of a unit monomial c * prod g_i^{e_i} (derivative order 0)."""
         if len(self._num) != 1:
             raise NotAUnit("units are single monomial terms")
-        (mono, c), = self._num.items()
-        for g, j, e in mono:
+        (m, c), = self._num.items()
+        for g, j, e in self.spec._mono(m):
             if j != 0 or not self.spec.generators[g].invertible:
                 raise NotAUnit(f"factor {(g, j, e)} is not invertible")
-        inv_mono = tuple((g, j, -e) for g, j, e in mono)
-        return GradedElem._raw(self.spec, {inv_mono: self._den if c > 0 else -self._den}, abs(c))
+        return GradedElem._raw(self.spec, {-m: self._den if c > 0 else -self._den}, abs(c), self._bound)
 
     def deriv(self) -> "GradedElem":
         """Formal derivative: sends g^(j) to g^(j+1) by the Leibniz rule.
 
-        A factor (g, j, e) becomes e (g, j, e-1)(g, j+1, 1), the new factor
-        folded into a (g, j+1, .) right after it; exponents at j+1 >= 1 are
-        positive, so the fold never cancels.
+        A factor (g, j, e) becomes e (g, j, e-1)(g, j+1, 1): the packed
+        monomial plus the step of slot g + G j.  No exponent grows by more
+        than one in absolute value.
         """
-        out: dict[Mono, int] = {}
-        for mono, c in self._num.items():
-            for pos, (g, j, e) in enumerate(mono):
-                head = mono[:pos] if e == 1 else (*mono[:pos], (g, j, e - 1))
-                tail = mono[pos + 1 :]
-                if tail and tail[0][0] == g and tail[0][1] == j + 1:
-                    bumped = (*head, (g, j + 1, tail[0][2] + 1), *tail[1:])
-                else:
-                    bumped = (*head, (g, j + 1, 1), *tail)
+        spec = self.spec
+        bound = _bounded(self._bound + 1)
+        n, mono, steps = len(spec.generators), spec._mono, spec._steps
+        out: dict[int, int] = {}
+        for m, c in self._num.items():
+            for g, j, e in mono(m):
+                bumped = m + steps[g + n * j]
                 prev = out.get(bumped)
                 out[bumped] = c * e if prev is None else prev + c * e
-        return GradedElem._raw(self.spec, out, self._den)
+        return GradedElem._raw(spec, out, self._den, bound)
 
     def deriv_n(self, n: int) -> "GradedElem":
         f = self
@@ -345,15 +382,19 @@ class GradedElem(Frozen):
         """Common weight of all terms; zero input and mixed weights are errors."""
         if self.is_zero():
             raise ZeroElement("weight of the zero element is undefined")
-        weights = {self.spec.mono_weight(m) for m in self._num}
+        weights = self._weights()
         if len(weights) != 1:
             raise NotHomogeneous(f"mixed weights {sorted(weights)}")
         return weights.pop()
 
     def is_homogeneous(self, w: int | None = None) -> bool:
         """Whether all terms share one weight, `w` if given; zero is homogeneous of every weight."""
-        weights = {self.spec.mono_weight(m) for m in self._num}
+        weights = self._weights()
         return len(weights) <= 1 and (w is None or weights <= {w})
+
+    def _weights(self) -> set[int]:
+        spec = self.spec
+        return {spec.mono_weight(spec._mono(m)) for m in self._num}
 
     def __repr__(self) -> str:
         return f"GradedElem({self})"

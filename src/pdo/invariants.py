@@ -117,10 +117,11 @@ def g_forms(k: int, n_max: int, ring: GradedRingSpec) -> dict[int, GradedElem]:
         return {2 * n: ring.one() if n == 0 else ring.zero() for n in range(n_max + 1)}
     fact = list(accumulate(range(1, 2 * n_max + 1), mul, initial=1))
     rows = [[comb(t + 1, b) for b in range(t + 1)] for t in range(n_max - k + 1)]
-    return {2 * n: _g_form(k, n - k, idx, ring, fact, rows) for n in range(k, n_max + 1)}
+    keys = [ring._pack(((idx, t, 1),))[0] for t in range(n_max - k + 1)]
+    return {2 * n: _g_form(k, n - k, keys, ring, fact, rows) for n in range(k, n_max + 1)}
 
 
-def _g_form(k: int, i: int, idx: int, ring: GradedRingSpec, fact: list[int], rows: list[list[int]]) -> GradedElem:
+def _g_form(k: int, i: int, keys: list[int], ring: GradedRingSpec, fact: list[int], rows: list[list[int]]) -> GradedElem:
     """g_{k,2k+2i} by one walk over the partitions of i into at most k parts.
 
     gamma_i(t) = <F, prod_j P_{t_j}> with F_r = (-1)^r (2n-2-r)!/(n-1-r)!,
@@ -131,17 +132,17 @@ def _g_form(k: int, i: int, idx: int, ring: GradedRingSpec, fact: list[int], row
     also carries the runs (part, multiplicity) taken, largest first, and
     prod_j (t_j+1)! prod_v m_v! over them; at a leaf, the k - parts zero
     parts give the monomial its chi^(0) factor and the orderings their last
-    multiplicity.
+    multiplicity.  `keys[t]` is the packed monomial chi^(t).
     """
     n = k + i
-    num: dict[tuple, int] = {}
+    num: dict[int, int] = {}
     stack = [(i, 0, i, [(-1) ** r * fact[2 * n - 2 - r] // fact[n - 1 - r] for r in range(i + 1)], (), 1)]
     while stack:
         rest, parts, top, fun, runs, den = stack.pop()
         if not rest:
             zeros = k - parts
-            mono = ((idx, 0, zeros),) * (zeros > 0) + tuple((idx, t, m) for t, m in reversed(runs))
-            num[mono] = fun[0] * (fact[k] * fact[n] // (den * fact[zeros]))
+            key = zeros * keys[0] + sum(m * keys[t] for t, m in runs)
+            num[key] = fun[0] * (fact[k] * fact[n] // (den * fact[zeros]))
             continue
         # the parts left, each <= t, must still cover the rest of i
         for t in range(-(-rest // (k - parts)), min(rest, top) + 1):
@@ -151,7 +152,8 @@ def _g_form(k: int, i: int, idx: int, ring: GradedRingSpec, fact: list[int], row
             stack.append((rest - t, parts + 1, t, new, runs_t, den * fact[t + 1] * m))
     # pref(k, i) orderings(t) / prod_j (t_j+1)! = scale * k! n! / (prod_j (t_j+1)! prod_v m_v!)
     scale = Fraction((-1) ** i * fact[n - 1], fact[2 * n - 2] * fact[k])
-    return GradedElem._raw(ring, {m: c * scale.numerator for m, c in num.items()}, scale.denominator)
+    # every exponent is a multiplicity or the number of zero parts, at most k
+    return GradedElem._raw(ring, {m: c * scale.numerator for m, c in num.items()}, scale.denominator, k)
 
 
 def _partitions(n: int, parts: int, top: int) -> Iterator[tuple[int, ...]]:

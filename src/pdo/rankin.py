@@ -13,10 +13,9 @@ recursion in the quotient F' = 0, without forming the free product.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from math import factorial
+from math import comb, factorial, gcd
 
-from .coeffs import _lift_coeffs, comm_coeff_c, gbinom
+from .coeffs import _lift_ratio, _ratio_products, gbinom
 from .errors import EdgeCaseWeightZero, NotHomogeneous
 from .graded import GradedElem, GradedRingSpec, Generator
 from .lift import WeightedFamily, psi, psi_assemble, psi_inverse, ring_of
@@ -144,6 +143,10 @@ def alpha_table(k: int, l: int, n_max: int) -> list[Fraction]:
     the whole component is alpha_N [F, G]_N is the transfer theorem, checked by
     the ``STAR`` verify suite.  The (0, even) column comes from the closed
     form; other zero weights have no free extraction.
+
+    The recursion runs on integers: a_l, s_k and each peeled row a_m are
+    numerators over one denominator, stepped by their ratios, and the rest
+    is kept over one running denominator.
     """
     if k < 0 or l < 0:
         raise ValueError(f"weights must be nonnegative, got ({k}, {l})")
@@ -153,16 +156,23 @@ def alpha_table(k: int, l: int, n_max: int) -> list[Fraction]:
         return [alpha_weight0(j, l) for j in range(n_max + 1)]
     if l == 0:
         raise EdgeCaseWeightZero("no free extraction with a weight-0 right factor")
-    a_l = list(islice(_lift_coeffs(l), n_max + 1))
-    s_k = [comm_coeff_c(k, u) * Fraction(-1, 2) ** u for u in range(n_max + 1)]
-    # rest[N]: q_N less the lifts of the components peeled so far
+    a_l, den_l = _ratio_products([_lift_ratio(l, n) for n in range(1, n_max + 1)])
+    # s_k(u) = s_k(u-1) * -(k+2u-2) / (2u)
+    s_k, den_k = _ratio_products([(-(k + 2 * u - 2), 2 * u) for u in range(1, n_max + 1)])
+    # rest[N] / den: q_N less the lifts of the components peeled so far
     rest = [sum(a_l[n] * s_k[N - n] for n in range(N + 1)) for N in range(n_max + 1)]
+    den = den_l * den_k
     out = []
     for n in range(n_max + 1):
         beta = rest[n]
-        for j, a in enumerate(islice(_lift_coeffs(k + l + 2 * n), 1, n_max - n + 1), n + 1):
-            rest[j] -= beta * a
-        out.append(beta / gbinom(k + n - 1, n))
+        out.append(Fraction(beta, den * comb(k + n - 1, n)))
+        # rest[n+t] -= beta a_m(t) / den with a_m(t) = row[t] / den_m: rescale
+        # by den_m less what it shares with beta
+        row, den_m = _ratio_products([_lift_ratio(k + l + 2 * n, t) for t in range(1, n_max - n + 1)])
+        h = gcd(beta, den_m)
+        for t in range(1, n_max - n + 1):
+            rest[n + t] = rest[n + t] * (den_m // h) - beta // h * row[t]
+        den *= den_m // h
     return out
 
 

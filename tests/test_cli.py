@@ -306,6 +306,9 @@ def test_exit_codes(capsys):
 
 
 ZY = '{"ring":{"kind":"qz"},"val":1,"order":"exact","coeffs":[{"num":["0/1","1/1"],"den":["1/1"]}]}'
+# chi^(2^61) as a graded series; its square would need an exponent of 2^62
+HUGE = ('{"ring":{"kind":"graded","generators":[["chi",2,true]]},"val":0,"order":3,'
+        '"coeffs":[{"terms":[{"c":"1/1","mono":[[0,0,%d]]}]}]}' % 2**61)
 
 
 @pytest.mark.parametrize(
@@ -315,8 +318,10 @@ ZY = '{"ring":{"kind":"qz"},"val":1,"order":"exact","coeffs":[{"num":["0/1","1/1
         (["inv", ZY], "series_inverse"),
         # a plain ValueError from the library
         (["alpha-table", "--k", "-1", "--l", "2", "--nmax", "3"], "weights must be nonnegative"),
+        # a product whose exponent bound reaches 2^62 is refused by name
+        (["mul", HUGE, HUGE], "packed range |e| < 2^62"),
     ],
-    ids=["PDOError", "ValueError"],
+    ids=["PDOError", "ValueError", "ExponentOverflow"],
 )
 def test_domain_errors_exit_1_with_one_error_line(capsys, argv, text):
     code, out, err = run(capsys, *argv)

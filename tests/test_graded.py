@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdo.errors import NotAUnit, NotHomogeneous, RingMismatch, ZeroElement
+from pdo.errors import ExponentOverflow, NotAUnit, NotHomogeneous, RingMismatch, ZeroElement
 from pdo.graded import GradedElem, GradedRingSpec, Generator, _normalize
 
 spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True), Generator("F", 3)])
@@ -158,7 +158,7 @@ def ref_mul(a: GradedElem, b: GradedElem) -> GradedElem:
         for m2, c2 in b.terms.items():
             m = _normalize(m1 + m2)
             out[m] = out.get(m, F(0)) + c1 * c2
-    return GradedElem(spec, out)
+    return GradedElem(a.spec, out)
 
 
 def ref_deriv(a: GradedElem) -> GradedElem:
@@ -169,13 +169,41 @@ def ref_deriv(a: GradedElem) -> GradedElem:
             rest = mono[:pos] + mono[pos + 1 :]
             bumped = _normalize(rest + ((g, j, e - 1), (g, j + 1, 1)))
             out[bumped] = out.get(bumped, F(0)) + c * e
-    return GradedElem(spec, out)
+    return GradedElem(a.spec, out)
+
+
+def _mono_mul(m1, m2):
+    """The tuple product that the packed sum replaced: one merge of the
+    sorted factors, adding the exponents of a shared (gen, deriv) and
+    dropping a zero sum."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = k = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and k < n2:
+        a, b = m1[i], m2[k]
+        if a[0] == b[0] and a[1] == b[1]:
+            e = a[2] + b[2]
+            if e:
+                out.append((a[0], a[1], e))
+            i += 1
+            k += 1
+        elif a < b:  # decided by (gen, deriv), which differ here
+            out.append(a)
+            i += 1
+        else:
+            out.append(b)
+            k += 1
+    return (*out, *m1[i:], *m2[k:])
 
 
 def assert_same_canonical(got: GradedElem, ref: GradedElem) -> None:
     assert got.terms == ref.terms
     assert all(type(c) is F and c != 0 for c in got.terms.values())
-    assert GradedElem(spec, got.terms).terms == got.terms
+    assert GradedElem(got.spec, got.terms).terms == got.terms
 
 
 @st.composite
@@ -291,12 +319,13 @@ def test_sums_over_mixed_denominators():
     # denominators 2, 3 and 6 force the running denominator to grow, then
     # everything but an integer cancels
     total = spec.sum([F(1, 2) * chi, third * chi, F(-5, 6) * chi + F(1, 4), F(3, 4)])
-    assert total == 1 and total._num == {(): 1} and total._den == 1
+    assert total == 1 and total.terms == {(): 1} and total._den == 1
     zero = spec.sum([F(1, 4) * xi, sixth * xi - third, F(-5, 12) * xi, third])
     assert zero.is_zero() and zero._num == {} and zero._den == 1
     mixed = spec.sum([F(1, 4) * chi, sixth * xi, F(3, 4) * chi, F(1, 10)])
     assert mixed.terms == {((0, 0, 1),): 1, ((1, 0, 1),): sixth, (): F(1, 10)}
-    assert mixed._den == 30 and mixed._num == {((0, 0, 1),): 30, ((1, 0, 1),): 5, (): 3}
+    numerators = {m: c * mixed._den for m, c in mixed.terms.items()}
+    assert mixed._den == 30 and numerators == {((0, 0, 1),): 30, ((1, 0, 1),): 5, (): 3}
     for e in (total, zero, mixed, F(2, 3) * chi * F(3, 2), (F(1, 2) * chi**2).deriv()):
         assert_stored_canonical(e)
     assert (F(1, 2) * chi**2).deriv()._den == 1
@@ -319,3 +348,99 @@ def test_scalar_value_of_a_non_scalar():
     assert spec.scalar(F(2, 3)).scalar_value() == F(2, 3)
     with pytest.raises(ValueError):
         chi.scalar_value()
+
+
+# -- packed monomials against the tuple oracles --
+
+
+@st.composite
+def rings(draw):
+    """A spec of 1 to 4 generators with an invertible one, not first when
+    there are two or more, and up to five elements over it whose monomials
+    take negative exponents of the invertible generators."""
+    n = draw(st.integers(1, 4))
+    unit = draw(st.integers(min(1, n - 1), n - 1))
+    gens = [Generator(f"g{i}", draw(st.integers(-2, 4)), i == unit or draw(st.booleans())) for i in range(n)]
+    s = GradedRingSpec(gens)
+    factor = st.tuples(st.integers(0, n - 1), st.integers(0, 3), st.integers(1, 4), st.booleans())
+    mono = st.lists(factor, max_size=4).map(
+        lambda fs: tuple((g, j, -e if neg and j == 0 and gens[g].invertible else e) for g, j, e, neg in fs)
+    )
+    terms = st.dictionaries(mono, st.fractions(-3, 3, max_denominator=4), max_size=4)
+    return s, [GradedElem(s, t) for t in draw(st.lists(terms, min_size=5, max_size=5))]
+
+
+def merged(*elems):
+    out = {}
+    for e in elems:
+        for m, c in e.terms.items():
+            out[m] = out.get(m, 0) + c
+    return GradedElem(elems[0].spec, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rings(), st.integers(0, 3))
+def test_packed_products_match_the_tuple_oracles(ring, p):
+    s, (a, b, c, d, _) = ring
+    for m1 in a.terms:
+        for m2 in b.terms:
+            assert _mono_mul(m1, m2) == _normalize(m1 + m2)
+            assert (GradedElem(s, {m1: 1}) * GradedElem(s, {m2: 1})).terms == {_mono_mul(m1, m2): 1}
+    assert_same_canonical(a * b, ref_mul(a, b))
+    assert_same_canonical(s.dot([(a, b), (c, d), (b, a)]), merged(ref_mul(a, b), ref_mul(c, d), ref_mul(b, a)))
+    assert_same_canonical(s.sum([a, b, c, F(1, 3)]), merged(a, b, c, s.scalar(F(1, 3))))
+    power = s.one()
+    for _ in range(p):
+        power = ref_mul(power, a)
+    assert_same_canonical(a**p, power)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rings(), st.integers(0, 12), st.integers(0, 3))
+def test_packed_derivatives_match_the_tuple_oracle(ring, n, k):
+    # twelve derivatives of a monomial of at most two factors stay small
+    s, (a, *_) = ring
+    mono = min((m for m in a.terms if m), default=(), key=len)[:2]
+    for e, order in ((GradedElem(s, {mono: 3}), n), (a, k)):
+        ref = e
+        for _ in range(order):
+            ref = ref_deriv(ref)
+        assert_same_canonical(e.deriv_n(order), ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rings(), st.fractions(-4, 4, max_denominator=6).filter(bool), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_packed_inverse_and_edges(ring, c, exps):
+    s, elems = ring
+    unit_mono = _normalize((g, 0, e) for g, e in zip(range(len(s.generators)), exps) if s.generators[g].invertible)
+    u = GradedElem(s, {unit_mono: c})
+    assert u.inverse().terms == {tuple((g, j, -e) for g, j, e in unit_mono): 1 / c}
+    assert u * u.inverse() == 1 and u.inverse().inverse() == u
+    for e in (*elems, u):
+        back = GradedElem(s, e.terms)
+        assert back == e and hash(back) == hash(e)
+        assert all(e.coefficient(m) == x for m, x in e.terms.items())
+        for copied in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert copied == e and hash(copied) == hash(e) and copied.terms == e.terms
+            assert copied * elems[1] == e * elems[1] and copied.deriv() == e.deriv()
+
+
+def test_exponents_past_one_word_stay_exact():
+    big = 2**40
+    assert (chi**big).terms == {((0, 0, big),): 1} and (chi**big).weight() == 2 * big
+    assert (xi**-big).terms == {((1, 0, -big),): 1}
+    assert chi**big * xi**-big * chi**-big == xi**-big
+    # a negative digit below a positive one: the borrow is undone on reading
+    e = xi**-big * spec.gen("chi", 1) ** 3
+    assert e.terms == {((0, 1, 3), (1, 0, -big)): 1} and e.deriv() == ref_deriv(e)
+
+
+def test_an_exponent_that_could_leave_its_digit_is_refused():
+    half = chi ** 2**61
+    assert half.terms == {((0, 0, 2**61),): 1}
+    for op in (lambda: half * half, lambda: half**2, lambda: chi ** 2**62, lambda: xi ** -(2**62),
+               lambda: spec.dot([(chi, xi), (half, half)]), lambda: (chi ** (2**62 - 1)).deriv(),
+               lambda: GradedElem(spec, {((0, 0, 2**62),): 1}), lambda: chi ** 2**63):
+        with pytest.raises(ExponentOverflow, match="2\\^62"):
+            op()
+    assert (chi ** (2**62 - 1)).terms == {((0, 0, 2**62 - 1),): 1}
