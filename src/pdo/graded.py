@@ -372,12 +372,6 @@ class GradedElem(Frozen):
                 out[bumped] = c * e if prev is None else prev + c * e
         return GradedElem._raw(spec, out, self._den, bound)
 
-    def deriv_n(self, n: int) -> "GradedElem":
-        f = self
-        for _ in range(n):
-            f = f.deriv()
-        return f
-
     def weight(self) -> int:
         """Common weight of all terms; zero input and mixed weights are errors."""
         if self.is_zero():

@@ -28,8 +28,8 @@ from .coeffs import gamma_tuple
 from .errors import NotAUnit, NotHomogeneous, NotInvariant, OrderUnresolvable
 from .graded import GradedElem, GradedRingSpec
 from .lift import WeightedFamily
-from .rankin import _bracket_pairs, _derivs, alpha_weight0
-from .series import PDSeries, _min_order, series_mul, series_sqrt
+from .rankin import _bracket_pairs, alpha_weight0
+from .series import PDSeries, _min_order, derivs, series_mul, series_sqrt
 
 __all__ = [
     "find_unit_generator",
@@ -75,9 +75,8 @@ def _u_powers(order: int, ring: GradedRingSpec, read: int | None = None) -> Iter
     asked for; every coefficient of u is one monomial, so each is cheap.
     """
     read = order if read is None else read
-    coeffs, c = {}, find_unit_generator(ring, 2)
-    for n in range(2, order, 2):
-        coeffs[n], c = c, -c.deriv()
+    chi = find_unit_generator(ring, 2)
+    coeffs = {2 + 2 * n: -d if n % 2 else d for n, d in zip(range((order - 1) // 2), derivs(chi))}
     step = lambda power, u: series_mul(power.truncate(read - 2), u)
     return chain([PDSeries.one(ring)], accumulate(repeat(PDSeries(ring, coeffs, order)), step))
 
@@ -181,14 +180,14 @@ def g_closed(k: int, i: int, ring: GradedRingSpec) -> GradedElem:
         raise ValueError("k must be >= 1")
     if i < 0:
         raise ValueError("i must be >= 0")
-    derivs = _derivs(find_unit_generator(ring, 2), i)
+    dchi = list(islice(derivs(find_unit_generator(ring, 2)), i + 1))
     terms = []
     for part in _partitions(i, k, i):
         t = part + (0,) * (k - len(part))
         if gamma := gamma_tuple(k, i, t, "A2"):
             orderings = factorial(k) // prod(map(factorial, Counter(t).values()))
             scale = gamma * orderings / prod(factorial(tj + 1) for tj in t)
-            terms.append(scale * prod((derivs[tj] for tj in t), start=ring.one()))
+            terms.append(scale * prod((dchi[tj] for tj in t), start=ring.one()))
     pref = Fraction(
         (-1) ** i * factorial(k + i) * factorial(k + i - 1),
         factorial(2 * k + 2 * i - 2) * factorial(k),
@@ -212,12 +211,12 @@ def decompose_even(a: Sequence[GradedElem], order: int, ring: GradedRingSpec) ->
     m_max = (order - 1) // 2
     _unit_index(ring, 2)  # u = x*chi needs the weight-2 unit even when every a_k is zero
     gtabs = {k: g_forms(k, m_max, ring) for k, ak in enumerate(a) if not ak.is_zero()}
-    # one derivative chain per a_k and per nonzero g_{k,2n}; a weight-0
-    # bracket of order N >= 1 has no a_k g^(N) term, so g_{k,2n} is read to
-    # its (m_max-n-1)-th derivative at most, and a_k to its (m_max-max(k,1))-th
-    da = {k: _derivs(a[k], m_max - max(k, 1)) for k in gtabs}
+    # one derivative chain per a_k and per nonzero g_{k,2n}; a weight-0 bracket
+    # of order N >= 1 has no a_k g^(N) term, so g_{k,2n} is read to its
+    # (m_max-n-1)-th derivative at most, and a_k (k <= m_max) to its (m_max-max(k,1))-th
+    da = {k: list(islice(derivs(a[k]), max(m_max + 1 - max(k, 1), 0))) for k in gtabs}
     dg = {
-        (k, n): _derivs(g, max(m_max - n - 1, 0))
+        (k, n): list(islice(derivs(g), max(m_max - n, 1)))
         for k, gtab in gtabs.items()
         for n in range(max(k, 1), m_max + 1)
         if not (g := gtab[2 * n]).is_zero()

@@ -28,7 +28,7 @@ from .errors import (
 from .frozen import Frozen
 from .graded import GradedElem
 from .ratfunc import QZ, GMatrix, RatFunc
-from .series import EXACT, PDSeries, _min_order, series_inverse, series_mul
+from .series import EXACT, PDSeries, _min_order, deriv_n, derivs, series_inverse, series_mul
 from .action import act_series, slash
 
 __all__ = [
@@ -122,14 +122,8 @@ def psi(m: int, f, order: int | None = None, ring=None) -> PDSeries:
     exact = m <= 0 and m % 2 == 0
     if not exact and order is None:
         raise OrderUnresolvable(f"psi at weight {m} is an infinite series; pass an order")
-    out = {}
-    deriv = f
-    for n, a in enumerate(_lift_coeffs(m)):
-        if not exact and m + 2 * n >= order:
-            break
-        if n:
-            deriv = deriv.deriv()
-        out[m + 2 * n] = a * deriv
+    exps = range(m, 1 if exact else order, 2)  # an exact lift ends by y^0
+    out = {e: a * d for e, a, d in zip(exps, _lift_coeffs(m), derivs(f))}
     return PDSeries(ring, out, EXACT if exact else order)
 
 
@@ -245,7 +239,7 @@ def equivariance_residual(
             return base
         if not (m < 0 and m % 2 == 0):
             raise ValueError("the deformed lift exists at negative even weight only")
-        extra = psi(2 - m, h.deriv_n(1 - m), order)
+        extra = psi(2 - m, deriv_n(h, 1 - m), order)
         return base + extra.scale_left(Fraction(c))
 
     lifted = lift_map(slash(f, m, g))

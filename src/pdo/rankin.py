@@ -13,13 +13,14 @@ recursion in the quotient F' = 0, without forming the free product.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, gcd
 
 from .coeffs import _lift_ratio, _ratio_products, gbinom
 from .errors import EdgeCaseWeightZero, NotHomogeneous
 from .graded import GradedElem, GradedRingSpec, Generator
 from .lift import WeightedFamily, psi, psi_assemble, psi_inverse, ring_of
-from .series import series_mul
+from .series import _comm_ratio, derivs, series_mul
 
 __all__ = [
     "rc_bracket",
@@ -41,7 +42,8 @@ def rc_bracket(f, g, k: int, l: int, n: int):
     """
     if n < 0:
         raise ValueError(f"bracket index must be >= 0, got {n}")
-    return ring_of(f).dot(_bracket_pairs(_derivs(f, n), _derivs(g, n), k, l, n))
+    df, dg = (list(islice(derivs(h), n + 1)) for h in (f, g))
+    return ring_of(f).dot(_bracket_pairs(df, dg, k, l, n))
 
 
 def _bracket_pairs(df: list, dg: list, k: int, l: int, n: int, scale: Fraction | int = 1):
@@ -72,7 +74,7 @@ def star(f: GradedElem, g: GradedElem, order: int | None) -> WeightedFamily:
     g = ring.coerce(g)
     free = _free_star(k, l, order)
     top = (max(free.components, default=k + l) - k - l) // 2
-    df, dg = _derivs(f, top), _derivs(g, top)
+    df, dg = (list(islice(derivs(h), top + 1)) for h in (f, g))
     return WeightedFamily(ring, {
         m: ring.dot((beta * df[a], dg[b]) for ((_, a, _), (_, b, _)), beta in comp.terms.items())
         for m, comp in free.items()
@@ -86,14 +88,6 @@ def _free_star(k: int, l: int, order: int | None) -> WeightedFamily:
     spec = GradedRingSpec([Generator("F", k), Generator("G", l)])
     lifted = series_mul(psi(k, spec.gen("F"), order), psi(l, spec.gen("G"), order))
     return psi_inverse(lifted, order)
-
-
-def _derivs(f, n: int) -> list:
-    """[f, f', ..., f^(n)]."""
-    out = [f]
-    for _ in range(n):
-        out.append(out[-1].deriv())
-    return out
 
 
 def star_families(A: WeightedFamily, B: WeightedFamily, order: int) -> WeightedFamily:
@@ -157,8 +151,7 @@ def alpha_table(k: int, l: int, n_max: int) -> list[Fraction]:
     if l == 0:
         raise EdgeCaseWeightZero("no free extraction with a weight-0 right factor")
     a_l, den_l = _ratio_products([_lift_ratio(l, n) for n in range(1, n_max + 1)])
-    # s_k(u) = s_k(u-1) * -(k+2u-2) / (2u)
-    s_k, den_k = _ratio_products([(-(k + 2 * u - 2), 2 * u) for u in range(1, n_max + 1)])
+    s_k, den_k = _ratio_products([_comm_ratio(k, u) for u in range(1, n_max + 1)])
     # rest[N] / den: q_N less the lifts of the components peeled so far
     rest = [sum(a_l[n] * s_k[N - n] for n in range(N + 1)) for N in range(n_max + 1)]
     den = den_l * den_k

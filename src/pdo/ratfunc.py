@@ -411,12 +411,6 @@ class RatFunc(Frozen):
         top = _iadd(_imul(_ideriv(n), d), _ineg(_imul(n, _ideriv(d))))
         return RatFunc._from_int(self.sc, top, _imul(d, d))
 
-    def deriv_n(self, n: int) -> "RatFunc":
-        f = self
-        for _ in range(n):
-            f = f.deriv()
-        return f
-
     def __repr__(self) -> str:
         return f"RatFunc({self})"
 

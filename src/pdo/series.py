@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     BadRoot,
@@ -58,7 +59,22 @@ __all__ = [
     "series_inverse",
     "series_sqrt",
     "split_even_odd",
+    "derivs",
+    "deriv_n",
 ]
+
+
+def derivs(f) -> Iterator:
+    """f, f', f'', ...: one ``deriv`` per entry, taken when the entry is read.
+    Zipped with a bounded sequence it goes last, so no entry is formed past it."""
+    while True:
+        yield f
+        f = f.deriv()
+
+
+def deriv_n(f, n: int):
+    """The n-th derivative f^(n), n >= 0."""
+    return next(islice(derivs(f), n, None))
 
 
 class PDSeries(Frozen):
@@ -202,8 +218,8 @@ def series_mul(p: PDSeries, q: PDSeries) -> PDSeries:
 
     y^i f * y^j g = sum_u a_i(u) d^u(g) y^{i+j+2u} with a_i(u) = c_i(u)
     (-1/2)^u f.  Each a_i and each derivative chain d^u(g) is extended lazily
-    and at most once per operand coefficient, a_i by the step ratio
-    a_i(u) / a_i(u-1) = -(i+2u-2)/(2u); a zero entry ends either chain.
+    and at most once per operand coefficient, a_i by its step ratio
+    ``_comm_ratio`` and d^u(g) from ``derivs(g)``; a zero entry ends either chain.
 
     The result is EXACT only when both inputs are EXACT and every commutation
     series terminates (left exponent even and nonpositive, or a derivative
@@ -219,13 +235,13 @@ def series_mul(p: PDSeries, q: PDSeries) -> PDSeries:
     exact = target == math.inf
 
     left = {i: [f] for i, f in p.coeffs.items()}  # a_i(0), a_i(1), ...
-    right = {j: [g] for j, g in q.coeffs.items()}  # g, d(g), d^2(g), ...
+    right = {j: _right_chain(g) for j, g in q.coeffs.items()}  # g, d(g), d^2(g), ...
     # the factor pairs (a_i(u), d^u(g)) of each exponent, multiplied only
     # inside its ring.dot
     terms: dict[int, list] = {}
     for i, a in left.items():
         for j, b in right.items():
-            if exact and not (i <= 0 and i % 2 == 0 or b[0].deriv_terminates()):
+            if exact and not (i <= 0 and i % 2 == 0 or q.coeffs[j].deriv_terminates()):
                 raise OrderUnresolvable(
                     f"series_mul: the product of the exact terms y^{i} and y^{j} is an "
                     "infinite series; truncate an operand to a finite order first"
@@ -241,23 +257,32 @@ def series_mul(p: PDSeries, q: PDSeries) -> PDSeries:
     return PDSeries(ring, out, EXACT if exact else int(target))
 
 
-def _chain_pair(i: int, a: list, b: list, u: int):
+def _comm_ratio(i: int, u: int) -> tuple[int, int]:
+    """c_i(u) / (-2 c_i(u-1)), the step of c_i(u) (-1/2)^u, as (numerator, denominator)."""
+    return -(i + 2 * u - 2), 2 * u
+
+
+def _right_chain(g) -> tuple[list, Iterator]:
+    """The entries of ``derivs(g)`` read so far, [g], and the rest of it."""
+    return [g], islice(derivs(g), 1, None)
+
+
+def _chain_pair(i: int, a: list, right: tuple[list, Iterator], u: int):
     """The factors (a_i(u), d^u(g)) of one commutation term, or None once
     either is zero.
 
-    `a` = [a_i(0), a_i(1), ...] is the left chain of a coefficient f at
-    exponent i, a_i(u) = c_i(u) (-1/2)^u f, extended by the step ratio
-    a_i(u) / a_i(u-1) = -(i+2u-2)/(2u); `b` = [g, d(g), ...] is the
-    derivative chain of a right coefficient g.  Both lists are extended in
-    place as far as `u` needs and never past a zero entry, since every later
-    entry of such a chain is zero too.
+    `a` = [a_i(0), a_i(1), ...] is the left chain of f at exponent i,
+    a_i(u) = c_i(u) (-1/2)^u f; `right` is the `_right_chain` of g, whose list
+    b = [g, d(g), ...] grows from ``derivs(g)``.  Both lists grow in place as
+    far as `u` needs and never past a zero entry, after which all are zero.
     """
     while len(a) <= u and not a[-1].is_zero():
-        a.append(a[-1] * Fraction(-(i + 2 * len(a) - 2), 2 * len(a)))
+        a.append(a[-1] * Fraction(*_comm_ratio(i, len(a))))
     if len(a) <= u or a[u].is_zero():
         return None
+    b, rest = right
     while len(b) <= u and not b[-1].is_zero():
-        b.append(b[-1].deriv())
+        b.append(next(rest))
     if len(b) <= u or b[u].is_zero():
         return None
     return a[u], b[u]
@@ -316,7 +341,7 @@ def series_inverse(q: PDSeries, order: int | None = None) -> PDSeries:
 
     result_order = _min_order(None if q.order is None else q.order - 2 * v, order)
     left = {-v: [f_inv]}  # the chains of the known coefficients of x
-    right = {j: [c] for j, c in sorted(q.coeffs.items())}
+    right = {j: _right_chain(c) for j, c in sorted(q.coeffs.items())}
     for n in range(1, result_order + v):
         need = _known_dot(ring, left, right, n)
         if not need.is_zero():
@@ -351,7 +376,7 @@ def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
     w = v // 2
 
     if q.order is None and order is None:
-        if len(q.coeffs) == 1 and e.deriv().is_zero():
+        if len(q.coeffs) == 1 and (w == 0 or e.deriv().is_zero()):
             return PDSeries.monomial(ring, e, w)
         raise OrderUnresolvable(
             f"series_sqrt: the square root of the exact series at y^{v} is infinite; "
@@ -359,12 +384,12 @@ def series_sqrt(q: PDSeries, e, order: int | None = None) -> PDSeries:
         )
 
     result_order = _min_order(None if q.order is None else q.order - w, order)
-    left, right = {w: [e]}, {w: [e]}  # the chains of the known coefficients
+    left, right = {w: [e]}, {w: _right_chain(e)}  # the chains of the known coefficients
     for n in range(2 * w + 1, result_order + w):
         need = q.coeff(n) - _known_dot(ring, left, right, n)
         if not need.is_zero():
             c = two_e_inv * need
-            left[n - w], right[n - w] = [c], [c]
+            left[n - w], right[n - w] = [c], _right_chain(c)
     return PDSeries(ring, {j: a[0] for j, a in left.items()}, result_order)
 
 

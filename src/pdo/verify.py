@@ -14,13 +14,13 @@ the range and the first counterexample, never an exception.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import islice
 from math import factorial, prod
 from typing import Callable, Iterable, NamedTuple
 
 from .coeffs import gbinom, lift_coeff, recip_factorial, rho
 from .ratfunc import QZ, GMatrix, RatFunc, mobius_compose
-from .series import PDSeries, series_mul
+from .series import PDSeries, deriv_n, derivs, series_mul
 from .action import act_series, act_y_power, slash
 
 __all__ = ["SuiteReport", "run_suite", "SUITES", "slash_derivative_expansion"]
@@ -221,12 +221,11 @@ def slash_derivative_expansion(f: RatFunc, n: int, m: int, g: GMatrix) -> RatFun
     valid for every integer weight n (for n >= 1 it coincides with the
     alternating-factorial form).
     """
-    s = g.s()
-    chain = accumulate(range(m), lambda fr, _: fr.deriv(), initial=f)
+    s, fm = g.s(), factorial(m)
     return RatFunc.sum(
-        Fraction(factorial(m), factorial(r)) * gbinom(m + n - 1, m - r) * (-g.c) ** (m - r)
+        Fraction(fm, factorial(r)) * gbinom(m + n - 1, m - r) * (-g.c) ** (m - r)
         * s ** (-(n + m + r)) * mobius_compose(fr, g)
-        for r, fr in enumerate(chain)
+        for r, fr in enumerate(islice(derivs(f), m + 1))
     )
 
 
@@ -249,7 +248,7 @@ def suite_bol(hmax: int = 5) -> SuiteReport:
     """(f|_{2-h} g)^(h-1) = f^(h-1) |_h g for h > 0."""
     fs, gs = _default_fs(), _default_gs()
     cases = (
-        (f"h={h}, f={f}, g={g!r}", slash(f, 2 - h, g).deriv_n(h - 1), slash(f.deriv_n(h - 1), h, g))
+        (f"h={h}, f={f}, g={g!r}", deriv_n(slash(f, 2 - h, g), h - 1), slash(deriv_n(f, h - 1), h, g))
         for h in range(1, hmax + 1)
         for f in fs
         for g in gs

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdo.errors import ExponentOverflow, NotAUnit, NotHomogeneous, RingMismatch, ZeroElement
 from pdo.graded import GradedElem, GradedRingSpec, Generator, _normalize
+from pdo.series import deriv_n
 
 spec = GradedRingSpec([Generator("chi", 2, True), Generator("xi", 1, True), Generator("F", 3)])
 chi = spec.gen("chi")
@@ -235,7 +236,7 @@ def test_fast_paths_match_old_formulas(a, b, c, n):
     ref = a
     for _ in range(n):
         ref = ref_deriv(ref)
-    assert_same_canonical(a.deriv_n(n), ref)
+    assert_same_canonical(deriv_n(a, n), ref)
     assert_same_canonical((a * b).deriv(), ref_deriv(ref_mul(a, b)))
 
 
@@ -251,7 +252,7 @@ def test_fast_paths_cancel():
     e = chi1 * chi2 - chi * spec.gen("chi", 3)
     assert_same_canonical(e.deriv(), chi2 * chi2 - chi * spec.gen("chi", 4))
     # the bumped factor folds into the next derivative order
-    assert_same_canonical((chi**-2 * chi1**3).deriv_n(2), ref_deriv(ref_deriv(chi**-2 * chi1**3)))
+    assert_same_canonical(deriv_n(chi**-2 * chi1**3, 2), ref_deriv(ref_deriv(chi**-2 * chi1**3)))
 
 
 def test_spec_and_ring_are_immutable():
@@ -307,7 +308,7 @@ def test_storage_is_canonical(a, b, c, s, k, n, u):
     total = spec.sum([a, b, c, s])
     assert total == GradedElem(spec, merged)
     results = [a, total, a + b, a - b, b - a, -a, a * b, a * s, s * a, a * k, k * a, F(s) * a]
-    results += [a.deriv_n(n), (a * b).deriv_n(n), u.inverse(), spec.sum([a, -a]), spec.scalar(s)]
+    results += [deriv_n(a, n), deriv_n(a * b, n), u.inverse(), spec.sum([a, -a]), spec.scalar(s)]
     for e in results:
         assert_stored_canonical(e)
     assert hash(spec.scalar(s)) == hash(F(s)) and spec.scalar(s) == s
@@ -405,7 +406,7 @@ def test_packed_derivatives_match_the_tuple_oracle(ring, n, k):
         ref = e
         for _ in range(order):
             ref = ref_deriv(ref)
-        assert_same_canonical(e.deriv_n(order), ref)
+        assert_same_canonical(deriv_n(e, order), ref)
 
 
 @settings(max_examples=200, deadline=None)

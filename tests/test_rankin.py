@@ -11,7 +11,7 @@ from pdo.errors import EdgeCaseWeightZero, NotHomogeneous, OrderUnresolvable, Ri
 from pdo.coeffs import comm_coeff_c, gbinom
 from pdo.graded import GradedRingSpec, Generator
 from pdo.lift import WeightedFamily, psi, psi_assemble, psi_inverse, ring_of
-from pdo.series import series_mul
+from pdo.series import deriv_n, series_mul
 from pdo.rankin import alpha_table, alpha_weight0, rc_bracket, star, star_families, star_via_brackets
 from pdo.ratfunc import RatFunc
 
@@ -31,7 +31,7 @@ def test_bracket_examples():
 def summed_bracket(f, g, k, l, n):
     """[f, g]_n as a ``ring.sum`` of the formed products f^(j) g^(n-j)."""
     return ring_of(f).sum(
-        (-1) ** j * gbinom(k + n - 1, n - j) * gbinom(l + n - 1, j) * (f.deriv_n(j) * g.deriv_n(n - j))
+        (-1) ** j * gbinom(k + n - 1, n - j) * gbinom(l + n - 1, j) * (deriv_n(f, j) * deriv_n(g, n - j))
         for j in range(n + 1)
     )
 

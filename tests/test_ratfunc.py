@@ -19,6 +19,7 @@ from pdo.ratfunc import (
     _itrim,
     mobius_compose,
 )
+from pdo.series import deriv_n
 
 z = RatFunc.z()
 T = GMatrix(1, 1, 0, 1)
@@ -240,7 +241,7 @@ def test_field_ops_match_sympy(f, g):
     assert_matches(f - g, ef - eg)
     assert_matches(f * g, ef * eg)
     assert_matches(f.deriv(), sympy.diff(ef, zs))
-    assert_matches(f.deriv_n(2), sympy.diff(ef, zs, 2))
+    assert_matches(deriv_n(f, 2), sympy.diff(ef, zs, 2))
     assume(not g.is_zero())
     assert_matches(f / g, ef / eg)
 

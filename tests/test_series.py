@@ -221,6 +221,18 @@ def test_sqrt_examples():
         series_sqrt(PDSeries.zero(QZ, 5), 1)
 
 
+@pytest.mark.parametrize("ring, e", [(QZ, z), (QZ, 1 / (z - 1) ** 2), (GR, chi), (GR, F(3, 2) * chi**2 * xi**-3)],
+                         ids=["qz-z", "qz-double-pole", "graded-chi", "graded-unit"])
+def test_sqrt_of_an_exact_monomial_at_y0_is_exact(ring, e):
+    # (e y^0)^2 = e^2 with no commutation term, whatever e' is; at y^2 the
+    # root e y is infinite unless e' = 0, so that stays refused
+    root = series_sqrt(PDSeries(ring, {0: e * e}), e)
+    assert root == PDSeries(ring, {0: e}) and root.is_exact()
+    assert series_sqrt(PDSeries(ring, {0: e * e}), e, order=6) == PDSeries(ring, {0: e}, 6)
+    with pytest.raises(OrderUnresolvable, match="y\\^2"):
+        series_sqrt(PDSeries(ring, {2: e * e}), e)
+
+
 def test_sqrt_general_even_valuation():
     rnd = random.Random(41)
     for v in (-4, -2, 0, 2, 4):
